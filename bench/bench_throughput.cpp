@@ -6,16 +6,6 @@
 //   * time compression: simulated seconds per wall second
 //   * scheduler decision latency (the "policy.select_device" region):
 //     count / p50 / p95 / p99 / max milliseconds
-// plus a before/after micro-benchmark for each landed hot-path optimization,
-// built as a mirror ladder where each rung's "after" is the next rung's
-// "before":
-//   * "sim.event-state-vector"  unordered_set id tracking -> flat state vector
-//   * "sim.calendar-queue"      std::priority_queue -> half-window calendar
-//                               queue (src/sim/calendar_queue.h)
-//   * "sim.event-arena"         heap std::function events -> slab arena +
-//                               SmallFunction small-buffer callbacks
-//   * "ml.fit-cache"            recomputed fits -> fingerprint-keyed FitCache
-//                               (warm-cache replay vs. cold fits)
 //
 // The output is a machine-readable, versioned JSON document
 // (schema "mudi.bench_throughput.v1", validated by
@@ -37,30 +27,21 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/check.h"
-#include "src/common/small_function.h"
+#include "src/common/json.h"
 #include "src/common/wallclock.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
-#include "src/ml/fit_cache.h"
-#include "src/ml/model_selection.h"
 #include "src/perf/json_check.h"
-#include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
 #include "src/perf/perf_report.h"
-#include "src/sim/calendar_queue.h"
-#include "src/sim/event_arena.h"
-#include "src/sim/simulator.h"
 
 namespace mudi {
 namespace {
@@ -170,599 +151,51 @@ Record RunOne(const Preset& preset, const std::string& policy_name) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimization micro-benchmark: sim.event-state-vector.
-//
-// Both mirrors below reproduce the Simulator's queue bookkeeping — same
-// priority_queue<Entry>, same std::function payload, same pop/skip logic —
-// and differ ONLY in how per-id liveness is tracked. LegacyQueue is the
-// pre-optimization implementation (two unordered_sets, verbatim from the old
-// src/sim/simulator.cc); StateVectorQueue is what ships today. Driving both
-// through the identical synthetic churn isolates the bookkeeping delta from
-// everything else (callback dispatch, heap churn, trace generation).
-
-struct MirrorEntry {
-  double time;
-  uint64_t seq;
-  uint64_t id;
-  std::function<void()> cb;
-};
-struct MirrorLater {
-  bool operator()(const MirrorEntry& a, const MirrorEntry& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
-  }
-};
-
-class LegacyQueue {
- public:
-  uint64_t Schedule(double t, std::function<void()> cb) {
-    uint64_t id = next_id_++;
-    live_.insert(id);
-    queue_.push(MirrorEntry{t, next_seq_++, id, std::move(cb)});
-    return id;
-  }
-  bool Cancel(uint64_t id) {
-    if (live_.erase(id) == 0) {
-      return false;
-    }
-    cancelled_.insert(id);
-    return true;
-  }
-  bool Step() {
-    while (!queue_.empty() && cancelled_.count(queue_.top().id) != 0) {
-      cancelled_.erase(queue_.top().id);
-      queue_.pop();
-    }
-    if (queue_.empty()) {
-      return false;
-    }
-    MirrorEntry entry = queue_.top();
-    queue_.pop();
-    live_.erase(entry.id);
-    entry.cb();
-    return true;
-  }
-
- private:
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 1;
-  std::priority_queue<MirrorEntry, std::vector<MirrorEntry>, MirrorLater> queue_;
-  std::unordered_set<uint64_t> live_;
-  std::unordered_set<uint64_t> cancelled_;
-};
-
-class StateVectorQueue {
- public:
-  uint64_t Schedule(double t, std::function<void()> cb) {
-    uint64_t id = next_id_++;
-    SetState(id, 1);  // live
-    queue_.push(MirrorEntry{t, next_seq_++, id, std::move(cb)});
-    return id;
-  }
-  bool Cancel(uint64_t id) {
-    if (id >= state_.size() || state_[id] != 1) {
-      return false;
-    }
-    state_[id] = 2;  // cancelled
-    return true;
-  }
-  bool Step() {
-    while (!queue_.empty() && state_[queue_.top().id] == 2) {
-      state_[queue_.top().id] = 0;
-      queue_.pop();
-    }
-    if (queue_.empty()) {
-      return false;
-    }
-    MirrorEntry entry = queue_.top();
-    queue_.pop();
-    state_[entry.id] = 0;  // dead
-    entry.cb();
-    return true;
-  }
-
- private:
-  void SetState(uint64_t id, uint8_t s) {
-    if (id >= state_.size()) {
-      state_.resize(id + 1, 0);
-    }
-    state_[id] = s;
-  }
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 1;
-  std::priority_queue<MirrorEntry, std::vector<MirrorEntry>, MirrorLater> queue_;
-  std::vector<uint8_t> state_;
-};
-
-// Deterministic churn in the classic hold model: build a standing population
-// of kPending events (the simulator's steady state at cluster scale — large
-// runs keep thousands of request/monitor events in flight), then alternate
-// pop-one/push-one at the advancing horizon, cancelling every third push's
-// mid-queue predecessor. No Rng — a Weyl sequence makes the workload
-// identical for all queues and across runs. The callback captures 32 bytes
-// (a reference plus three words), the size class of real simulator callbacks
-// (`this` + a couple of ids/times) — big enough that std::function takes its
-// heap path while SmallFunction stays inline, so the arena delta measures
-// what production events actually pay.
-template <typename Queue>
-double ChurnEventsPerSecond(size_t total_events) {
-  constexpr size_t kPending = 8192;
-  Queue queue;
-  volatile uint64_t sink = 0;
-  uint64_t key = 0;
-  uint64_t scheduled = 0;
-  std::vector<uint64_t> ring(kPending / 2, 0);
-  auto push_event = [&]() -> uint64_t {
-    key += 0x9E3779B97F4A7C15ull;  // Weyl increment: deterministic jitter
-    // Times advance ~4 events per virtual ms with up to ~1 s of jitter —
-    // dense near the clock like real event horizons — plus a sparse
-    // far-future tail (monitor-style events) for the calendar overflow path.
-    double t = static_cast<double>(scheduled) * 0.25 + static_cast<double>(key >> 54);
-    if (scheduled % 97 == 0) {
-      t += 100000.0;
-    }
-    uint64_t a = key, b = key >> 7, c = key >> 13;
-    ++scheduled;
-    return queue.Schedule(t, [&sink, a, b, c] { sink = sink + (a ^ b ^ c); });
-  };
-  auto schedule_one = [&] {
-    uint64_t id = push_event();
-    size_t slot = scheduled % ring.size();
-    if (scheduled % 3 == 0 && ring[slot] != 0) {
-      queue.Cancel(ring[slot]);  // pushed kPending/2 events ago: still mid-queue
-      // Replace the cancelled event so the standing population stays at
-      // kPending: pops average one fire plus one-third of a reap per
-      // iteration, so an unpaired cancel would drain the queue to empty and
-      // the "hold" model would silently measure a near-empty queue.
-      push_event();
-    }
-    ring[slot] = id;
-  };
-  WallTimer timer;
-  size_t prefill = total_events < kPending ? total_events : kPending;
-  for (size_t i = 0; i < prefill; ++i) {
-    schedule_one();
-  }
-  for (size_t i = prefill; i < total_events; ++i) {
-    schedule_one();
-    queue.Step();
-  }
-  uint64_t fired = 0;
-  while (queue.Step()) {
-    ++fired;
-  }
-  double seconds = timer.ElapsedSeconds();
-  MUDI_CHECK_GT(fired, 0u);
-  return seconds > 0.0 ? static_cast<double>(total_events) / seconds : 0.0;
-}
-
-struct OptimizationDelta {
-  std::string name;
-  std::string description;
-  double before_events_per_sec = 0.0;
-  double after_events_per_sec = 0.0;
-  double speedup = 0.0;
-};
-
-OptimizationDelta MeasureStateVectorDelta() {
-  size_t events = ScaledCount(2000000);
-  // Interleaved A/B/A/B repetitions so cache warm-up and frequency scaling
-  // bias neither side; keep the best rate of each (least-noise estimator).
-  double before = 0.0;
-  double after = 0.0;
-  for (int round = 0; round < 3; ++round) {
-    double b = ChurnEventsPerSecond<LegacyQueue>(events);
-    double a = ChurnEventsPerSecond<StateVectorQueue>(events);
-    before = b > before ? b : before;
-    after = a > after ? a : after;
-  }
-  OptimizationDelta delta;
-  delta.name = "sim.event-state-vector";
-  delta.description =
-      "Replace the event queue's live_/cancelled_ unordered_sets with a flat "
-      "per-id state vector (src/sim/simulator.cc); per event, two hash "
-      "inserts + two hash erases become two byte writes.";
-  delta.before_events_per_sec = before;
-  delta.after_events_per_sec = after;
-  delta.speedup = before > 0.0 ? after / before : 0.0;
-  return delta;
-}
-
-// ---------------------------------------------------------------------------
-// Optimization micro-benchmarks: sim.calendar-queue and sim.event-arena.
-//
-// Isolation ladder — each adjacent pair differs in exactly one mechanism:
-//   LegacyQueue       -> StateVectorQueue : liveness bookkeeping (PR 4)
-//   HeapSlotQueue     -> CalendarSlotQueue: ordering structure (binary heap
-//                        vs calendar buckets over the same 20-byte items),
-//                        identical std::function slot store on both sides
-//   CalendarSlotQueue -> CalendarArenaQueue: callback storage (heap-backed
-//                        std::function slots vs EventArena + SmallFunction)
-// The last rung of each pair is what src/sim/simulator.cc ships.
-
-// std::function payloads in a free-list-recycled slot vector; shared by both
-// sides of the ordering pair so only the queue structure differs.
-class FunctionSlotStore {
- public:
-  uint32_t Acquire(std::function<void()> cb, uint64_t id) {
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<uint32_t>(cbs_.size());
-      cbs_.emplace_back();
-      ids_.push_back(0);
-    }
-    cbs_[slot] = std::move(cb);
-    ids_[slot] = id;
-    return slot;
-  }
-  void Recycle(uint32_t slot) {
-    cbs_[slot] = nullptr;
-    free_.push_back(slot);
-  }
-  std::function<void()>& cb(uint32_t slot) { return cbs_[slot]; }
-  uint64_t id(uint32_t slot) const { return ids_[slot]; }
-
- private:
-  std::vector<std::function<void()>> cbs_;
-  std::vector<uint64_t> ids_;
-  std::vector<uint32_t> free_;
-};
-
-struct SlotLater {
-  bool operator()(const CalendarQueue::Item& a, const CalendarQueue::Item& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
-  }
-};
-
-class HeapSlotQueue {
- public:
-  uint64_t Schedule(double t, std::function<void()> cb) {
-    uint64_t id = next_id_++;
-    SetState(id, 1);
-    queue_.push(CalendarQueue::Item{t, next_seq_++, store_.Acquire(std::move(cb), id)});
-    return id;
-  }
-  bool Cancel(uint64_t id) {
-    if (id >= state_.size() || state_[id] != 1) {
-      return false;
-    }
-    state_[id] = 2;
-    return true;
-  }
-  bool Step() {
-    while (!queue_.empty() && state_[store_.id(queue_.top().slot)] == 2) {
-      state_[store_.id(queue_.top().slot)] = 0;
-      store_.Recycle(queue_.top().slot);
-      queue_.pop();
-    }
-    if (queue_.empty()) {
-      return false;
-    }
-    CalendarQueue::Item item = queue_.top();
-    queue_.pop();
-    state_[store_.id(item.slot)] = 0;
-    std::function<void()> cb = std::move(store_.cb(item.slot));
-    store_.Recycle(item.slot);
-    cb();
-    return true;
-  }
-
- private:
-  void SetState(uint64_t id, uint8_t s) {
-    if (id >= state_.size()) {
-      state_.resize(id + 1, 0);
-    }
-    state_[id] = s;
-  }
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 1;
-  std::priority_queue<CalendarQueue::Item, std::vector<CalendarQueue::Item>, SlotLater> queue_;
-  FunctionSlotStore store_;
-  std::vector<uint8_t> state_;
-};
-
-class CalendarSlotQueue {
- public:
-  uint64_t Schedule(double t, std::function<void()> cb) {
-    uint64_t id = next_id_++;
-    SetState(id, 1);
-    queue_.Push(CalendarQueue::Item{t, next_seq_++, store_.Acquire(std::move(cb), id)});
-    return id;
-  }
-  bool Cancel(uint64_t id) {
-    if (id >= state_.size() || state_[id] != 1) {
-      return false;
-    }
-    state_[id] = 2;
-    return true;
-  }
-  bool Step() {
-    while (const CalendarQueue::Item* top = queue_.PeekMin()) {
-      if (state_[store_.id(top->slot)] != 2) {
-        break;
-      }
-      state_[store_.id(top->slot)] = 0;
-      store_.Recycle(top->slot);
-      queue_.PopMin();
-    }
-    if (queue_.empty()) {
-      return false;
-    }
-    CalendarQueue::Item item = queue_.PopMin();
-    state_[store_.id(item.slot)] = 0;
-    std::function<void()> cb = std::move(store_.cb(item.slot));
-    store_.Recycle(item.slot);
-    cb();
-    return true;
-  }
-
- private:
-  void SetState(uint64_t id, uint8_t s) {
-    if (id >= state_.size()) {
-      state_.resize(id + 1, 0);
-    }
-    state_[id] = s;
-  }
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 1;
-  CalendarQueue queue_;
-  FunctionSlotStore store_;
-  std::vector<uint8_t> state_;
-};
-
-// The full production path: calendar ordering + EventArena slots +
-// SmallFunction callbacks, mirroring Simulator's one-shot fire sequence.
-class CalendarArenaQueue {
- public:
-  uint64_t Schedule(double t, SmallFunction<void()> cb) {
-    uint64_t id = next_id_++;
-    EventArena::Slot slot = arena_.Allocate();
-    EventArena::Event& ev = arena_[slot];
-    ev.time = t;
-    ev.seq = next_seq_++;
-    ev.id = id;
-    ev.cb = std::move(cb);
-    SetState(id, 1);
-    queue_.Push(CalendarQueue::Item{t, ev.seq, slot});
-    return id;
-  }
-  bool Cancel(uint64_t id) {
-    if (id >= state_.size() || state_[id] != 1) {
-      return false;
-    }
-    state_[id] = 2;
-    return true;
-  }
-  bool Step() {
-    while (const CalendarQueue::Item* top = queue_.PeekMin()) {
-      if (state_[arena_[top->slot].id] != 2) {
-        break;
-      }
-      state_[arena_[top->slot].id] = 0;
-      arena_.Recycle(top->slot);
-      queue_.PopMin();
-    }
-    if (queue_.empty()) {
-      return false;
-    }
-    CalendarQueue::Item item = queue_.PopMin();
-    EventArena::Event& ev = arena_[item.slot];
-    state_[ev.id] = 0;
-    SmallFunction<void()> cb = std::move(ev.cb);
-    arena_.Recycle(item.slot);
-    cb();
-    return true;
-  }
-
- private:
-  void SetState(uint64_t id, uint8_t s) {
-    if (id >= state_.size()) {
-      state_.resize(id + 1, 0);
-    }
-    state_[id] = s;
-  }
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 1;
-  CalendarQueue queue_;
-  EventArena arena_;
-  std::vector<uint8_t> state_;
-};
-
-OptimizationDelta MeasureCalendarQueueDelta() {
-  size_t events = ScaledCount(2000000);
-  double before = 0.0;
-  double after = 0.0;
-  for (int round = 0; round < 3; ++round) {
-    double b = ChurnEventsPerSecond<HeapSlotQueue>(events);
-    double a = ChurnEventsPerSecond<CalendarSlotQueue>(events);
-    before = b > before ? b : before;
-    after = a > after ? a : after;
-  }
-  OptimizationDelta delta;
-  delta.name = "sim.calendar-queue";
-  delta.description =
-      "Replace the std::priority_queue event ordering with a calendar/bucket "
-      "queue (src/sim/calendar_queue.h): O(1) push into 1 ms buckets sorted "
-      "lazily when the clock enters them, bitmap next-bucket scan, min-heap "
-      "overflow for far-future events. Same slot store on both sides.";
-  delta.before_events_per_sec = before;
-  delta.after_events_per_sec = after;
-  delta.speedup = before > 0.0 ? after / before : 0.0;
-  return delta;
-}
-
-OptimizationDelta MeasureEventArenaDelta() {
-  size_t events = ScaledCount(2000000);
-  double before = 0.0;
-  double after = 0.0;
-  for (int round = 0; round < 3; ++round) {
-    double b = ChurnEventsPerSecond<CalendarSlotQueue>(events);
-    double a = ChurnEventsPerSecond<CalendarArenaQueue>(events);
-    before = b > before ? b : before;
-    after = a > after ? a : after;
-  }
-  OptimizationDelta delta;
-  delta.name = "sim.event-arena";
-  delta.description =
-      "Store events in a slab arena with small-buffer-optimized callbacks "
-      "(src/sim/event_arena.h, src/common/small_function.h) instead of "
-      "heap-allocating one std::function per event; slots recycle LIFO so "
-      "the steady state is allocation-free (mudi_perf_alloc_hook-verified).";
-  delta.before_events_per_sec = before;
-  delta.after_events_per_sec = after;
-  delta.speedup = before > 0.0 ? after / before : 0.0;
-  return delta;
-}
-
-// ---------------------------------------------------------------------------
-// Optimization micro-benchmark: ml.fit-cache.
-//
-// Before: the PR-6-era fit path — one serial SelectBestModel per dataset,
-// every call cross-validating the full zoo from scratch. After: the batch
-// SelectBestModelsCached path with a warm FitCache, i.e. what a re-tune or a
-// repeated policy.initialize pays. Units are model selections per second
-// (the `events` in this entry's fields are selection shards, not simulator
-// events — same before/after schema).
-
-OptimizationDelta MeasureFitCacheDelta() {
-  // Synthetic selection problems sized like the real ones: per task, 24
-  // samples of 12 features, Weyl-generated, with a smooth nonlinear target.
-  constexpr size_t kTasks = 4;
-  constexpr size_t kSamples = 24;
-  constexpr size_t kFeatures = 12;
-  std::vector<std::vector<std::vector<double>>> xs(kTasks);
-  std::vector<std::vector<double>> ys(kTasks);
-  uint64_t key = 0;
-  for (size_t task = 0; task < kTasks; ++task) {
-    for (size_t i = 0; i < kSamples; ++i) {
-      std::vector<double> row(kFeatures);
-      double acc = 0.0;
-      for (size_t f = 0; f < kFeatures; ++f) {
-        key += 0x9E3779B97F4A7C15ull;
-        row[f] = static_cast<double>(key >> 52) / 409.6;  // [0, 10)
-        acc += row[f] * (static_cast<double>(f % 3) - 1.0);
-      }
-      xs[task].push_back(std::move(row));
-      ys[task].push_back(acc + 0.1 * static_cast<double>(task) +
-                         0.05 * static_cast<double>(i % 5));
-    }
-  }
-  std::vector<FitTask> tasks;
-  for (size_t task = 0; task < kTasks; ++task) {
-    tasks.push_back(FitTask{&xs[task], &ys[task], 5});
-  }
-  auto zoo = DefaultRegressorZoo();
-
-  double before = 0.0;
-  double after = 0.0;
-  for (int round = 0; round < 3; ++round) {
-    {
-      WallTimer timer;
-      for (size_t task = 0; task < kTasks; ++task) {
-        ModelSelectionResult result = SelectBestModel(zoo, xs[task], ys[task], 5);
-        MUDI_CHECK(result.model != nullptr);
-      }
-      double seconds = timer.ElapsedSeconds();
-      double rate = seconds > 0.0 ? static_cast<double>(kTasks) / seconds : 0.0;
-      before = rate > before ? rate : before;
-    }
-    {
-      FitCache::Global().Clear();
-      std::vector<SharedSelectionResult> warm = SelectBestModelsCached(zoo, tasks);
-      MUDI_CHECK_EQ(warm.size(), kTasks);
-      WallTimer timer;
-      std::vector<SharedSelectionResult> cached = SelectBestModelsCached(zoo, tasks);
-      double seconds = timer.ElapsedSeconds();
-      MUDI_CHECK(cached.back().from_cache);
-      double rate = seconds > 0.0 ? static_cast<double>(kTasks) / seconds : 0.0;
-      after = rate > after ? rate : after;
-    }
-  }
-  FitCache::Global().Clear();  // do not leak synthetic entries into anything else
-  OptimizationDelta delta;
-  delta.name = "ml.fit-cache";
-  delta.description =
-      "Memoize model selection per data fingerprint (src/ml/fit_cache.h) and "
-      "batch it through the deterministic FitPool "
-      "(SelectBestModelsCached): a warm re-fit skips the full zoo "
-      "cross-validation. Rates are model selections/s, uncached serial "
-      "SelectBestModel vs warm cache.";
-  delta.before_events_per_sec = before;
-  delta.after_events_per_sec = after;
-  delta.speedup = before > 0.0 ? after / before : 0.0;
-  return delta;
-}
-
-// ---------------------------------------------------------------------------
 // JSON emission.
 
 void WriteDecision(std::ostream& os, const DecisionLatency& d) {
   os << "{\"count\":" << d.count << ",\"p50\":";
-  perf::WriteJsonNumber(os, d.p50);
+  WriteJsonNumber(os, d.p50);
   os << ",\"p95\":";
-  perf::WriteJsonNumber(os, d.p95);
+  WriteJsonNumber(os, d.p95);
   os << ",\"p99\":";
-  perf::WriteJsonNumber(os, d.p99);
+  WriteJsonNumber(os, d.p99);
   os << ",\"max\":";
-  perf::WriteJsonNumber(os, d.max);
+  WriteJsonNumber(os, d.max);
   os << "}";
 }
 
 void WriteRecord(std::ostream& os, const Record& r) {
   os << "    {\"preset\":";
-  perf::WriteJsonEscaped(os, r.preset);
+  WriteJsonString(os, r.preset);
   os << ",\"policy\":";
-  perf::WriteJsonEscaped(os, r.policy);
+  WriteJsonString(os, r.policy);
   os << ",\"wall_ms\":";
-  perf::WriteJsonNumber(os, r.wall_ms);
+  WriteJsonNumber(os, r.wall_ms);
   os << ",\"sim_ms\":";
-  perf::WriteJsonNumber(os, r.sim_ms);
+  WriteJsonNumber(os, r.sim_ms);
   os << ",\"events_fired\":" << r.events_fired << ",\"events_scheduled\":" << r.events_scheduled
      << ",\"events_cancelled\":" << r.events_cancelled << ",\"events_per_sec\":";
-  perf::WriteJsonNumber(os, r.events_per_sec);
+  WriteJsonNumber(os, r.events_per_sec);
   os << ",\"sim_seconds_per_wall_second\":";
-  perf::WriteJsonNumber(os, r.sim_seconds_per_wall_second);
+  WriteJsonNumber(os, r.sim_seconds_per_wall_second);
   os << ",\"decision_latency_ms\":";
   WriteDecision(os, r.decision);
   os << ",\"peak_rss_mb\":";
-  perf::WriteJsonNumber(os, r.peak_rss_mb);
+  WriteJsonNumber(os, r.peak_rss_mb);
   os << ",\"perf\":" << r.report.ToJsonString();
   os << "}";
 }
 
-void WriteBenchJson(std::ostream& os, const std::vector<Record>& records,
-                    const std::vector<OptimizationDelta>& optimizations) {
+void WriteBenchJson(std::ostream& os, const std::vector<Record>& records) {
   os << "{\n  \"schema\": \"mudi.bench_throughput.v1\",\n  \"build\": ";
   perf::BuildMetadata::Current().WriteJson(os);
   os << ",\n  \"bench_scale\": ";
-  perf::WriteJsonNumber(os, BenchScale());
+  WriteJsonNumber(os, BenchScale());
   os << ",\n  \"records\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     WriteRecord(os, records[i]);
     os << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n  \"optimizations\": [\n";
-  for (size_t i = 0; i < optimizations.size(); ++i) {
-    const OptimizationDelta& opt = optimizations[i];
-    os << "    {\"name\":";
-    perf::WriteJsonEscaped(os, opt.name);
-    os << ",\"description\":";
-    perf::WriteJsonEscaped(os, opt.description);
-    os << ",\"before_events_per_sec\":";
-    perf::WriteJsonNumber(os, opt.before_events_per_sec);
-    os << ",\"after_events_per_sec\":";
-    perf::WriteJsonNumber(os, opt.after_events_per_sec);
-    os << ",\"speedup\":";
-    perf::WriteJsonNumber(os, opt.speedup);
-    os << "}" << (i + 1 < optimizations.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";
 }
@@ -783,7 +216,7 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 }
 
 int ValidateFile(const std::string& path) {
-  StatusOr<perf::JsonValue> doc = perf::ParseJsonFile(path);
+  StatusOr<JsonValue> doc = ParseJsonFile(path);
   if (!doc.ok()) {
     std::fprintf(stderr, "[bench_throughput] %s\n", doc.status().message().c_str());
     return 1;
@@ -809,14 +242,14 @@ using CompareMap = std::map<std::pair<std::string, std::string>, CompareEntry>;
 
 // Pulls (preset, policy) -> {events/s, decision p50/p95} out of a validated
 // mudi.bench_throughput.v1 document.
-CompareMap EntriesFromJson(const perf::JsonValue& doc) {
+CompareMap EntriesFromJson(const JsonValue& doc) {
   CompareMap entries;
-  const perf::JsonValue* records = doc.Find("records");
+  const JsonValue* records = doc.Find("records");
   MUDI_CHECK(records != nullptr && records->is_array());
-  for (const perf::JsonValue& rec : records->array()) {
+  for (const JsonValue& rec : records->array()) {
     CompareEntry entry;
     entry.events_per_sec = rec.Find("events_per_sec")->number();
-    const perf::JsonValue* decision = rec.Find("decision_latency_ms");
+    const JsonValue* decision = rec.Find("decision_latency_ms");
     entry.decision_p50 = decision->Find("p50")->number();
     entry.decision_p95 = decision->Find("p95")->number();
     entries[{rec.Find("preset")->string(), rec.Find("policy")->string()}] = entry;
@@ -833,7 +266,7 @@ CompareMap EntriesFromRecords(const std::vector<Record>& records) {
 }
 
 StatusOr<CompareMap> LoadCompareFile(const std::string& path) {
-  StatusOr<perf::JsonValue> doc = perf::ParseJsonFile(path);
+  StatusOr<JsonValue> doc = ParseJsonFile(path);
   if (!doc.ok()) {
     return doc.status();
   }
@@ -981,30 +414,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<OptimizationDelta> optimizations;
-  struct NamedMeasure {
-    const char* name;
-    OptimizationDelta (*measure)();
-  };
-  const NamedMeasure measures[] = {
-      {"sim.event-state-vector", &MeasureStateVectorDelta},
-      {"sim.calendar-queue", &MeasureCalendarQueueDelta},
-      {"sim.event-arena", &MeasureEventArenaDelta},
-      {"ml.fit-cache", &MeasureFitCacheDelta},
-  };
-  for (const NamedMeasure& m : measures) {
-    std::fprintf(stderr, "[bench_throughput] measuring %s delta ...\n", m.name);
-    optimizations.push_back(m.measure());
-    std::fprintf(stderr, "[bench_throughput]   before %.0f /s, after %.0f /s (%.2fx)\n",
-                 optimizations.back().before_events_per_sec,
-                 optimizations.back().after_events_per_sec, optimizations.back().speedup);
-  }
-
   std::ostringstream json;
-  WriteBenchJson(json, records, optimizations);
+  WriteBenchJson(json, records);
 
   // Self-check before touching disk: a malformed artifact must never land.
-  StatusOr<perf::JsonValue> parsed = perf::ParseJson(json.str());
+  StatusOr<JsonValue> parsed = ParseJson(json.str());
   MUDI_CHECK(parsed.ok());
   Status valid = perf::ValidateBenchThroughputJson(*parsed);
   if (!valid.ok()) {
@@ -1020,8 +434,8 @@ int Main(int argc, char** argv) {
   }
   out << json.str();
   out.close();
-  std::fprintf(stderr, "[bench_throughput] wrote %s (%zu records, %zu optimizations)\n",
-               out_path.c_str(), records.size(), optimizations.size());
+  std::fprintf(stderr, "[bench_throughput] wrote %s (%zu records)\n", out_path.c_str(),
+               records.size());
 
   if (!compare_path.empty()) {
     StatusOr<CompareMap> base = LoadCompareFile(compare_path);

@@ -19,9 +19,13 @@
 #            full suite. Skipped by --fast.
 #   tsan     ThreadSanitizer tree with the full suite. Opt-in via --tsan.
 #   bench    perf-trajectory smoke: bench_throughput at the tiny "smoke"
-#            preset, then schema-validate the JSON it emitted. Opt-in via
-#            --bench. Fails on a non-zero bench exit, a missing artifact,
-#            or a malformed/incomplete document. When the committed
+#            preset, then schema-validate the JSON it emitted, then the
+#            repo benchmark's self-test (python3 mudibench/run.py
+#            --selftest: builds mudibench/ against src/ and checks that its
+#            decorated, plain and repeated runs give one result digest).
+#            Opt-in via --bench. Fails on a non-zero bench exit, a missing
+#            artifact, a malformed/incomplete document or a failed
+#            self-test. When the committed
 #            BENCH_throughput.json baseline exists, also re-runs the smoke
 #            preset at full scale and FAILS if any (preset, policy) pair's
 #            events/s regressed more than 20% against it (WARN instead of
@@ -103,7 +107,7 @@ while [ $# -gt 0 ]; do
       RUN_REPLAY=1
       ;;
     -h|--help)
-      sed -n '2,34p' "$0"
+      sed -n '2,59p' "$0"
       exit 0
       ;;
     -*)
@@ -308,6 +312,13 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     BENCH_RESULT=FAIL
   fi
   rm -f "$BENCH_OUT"
+  # mudibench/ builds src/ on its own and overrides every SchedulingEnv
+  # virtual, so an src/ API change can break it without breaking this tree.
+  echo "== bench: mudibench self-test =="
+  if ! python3 mudibench/run.py --selftest; then
+    echo "bench: mudibench self-test failed"
+    BENCH_RESULT=FAIL
+  fi
   # Regression gate against the committed perf-trajectory baseline. The
   # committed artifact was produced at full scale, so the gate re-runs the
   # smoke preset at full scale too (it is tiny — well under a minute) for an

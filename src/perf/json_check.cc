@@ -1,312 +1,12 @@
 #include "src/perf/json_check.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <utility>
+#include <string>
+#include <vector>
 
 namespace mudi {
 namespace perf {
 
-JsonValue JsonValue::Bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::Number(double n) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = n;
-  return v;
-}
-
-JsonValue JsonValue::String(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::Array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::Object(std::map<std::string, JsonValue> members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::move(members);
-  return v;
-}
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind_ != Kind::kObject) {
-    return nullptr;
-  }
-  auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
-}
-
 namespace {
-
-constexpr int kMaxDepth = 64;
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    StatusOr<JsonValue> value = ParseValue(0);
-    if (!value.ok()) {
-      return value;
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after the JSON document");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    size_t line = 1;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-      }
-    }
-    std::ostringstream os;
-    os << "JSON parse error at line " << line << " (offset " << pos_ << "): " << message;
-    return InvalidArgumentError(os.str());
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(const char* literal) {
-    size_t n = 0;
-    while (literal[n] != '\0') {
-      ++n;
-    }
-    if (text_.compare(pos_, n, literal) != 0) {
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  StatusOr<JsonValue> ParseValue(int depth) {
-    if (depth > kMaxDepth) {
-      return Error("nesting deeper than 64 levels");
-    }
-    SkipWhitespace();
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(depth);
-      case '[':
-        return ParseArray(depth);
-      case '"': {
-        StatusOr<std::string> s = ParseString();
-        if (!s.ok()) {
-          return s.status();
-        }
-        return JsonValue::String(std::move(s).value());
-      }
-      case 't':
-        if (ConsumeLiteral("true")) {
-          return JsonValue::Bool(true);
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) {
-          return JsonValue::Bool(false);
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) {
-          return JsonValue::Null();
-        }
-        return Error("invalid literal");
-      default:
-        return ParseNumber();
-    }
-  }
-
-  StatusOr<JsonValue> ParseObject(int depth) {
-    ++pos_;  // '{'
-    std::map<std::string, JsonValue> members;
-    SkipWhitespace();
-    if (Consume('}')) {
-      return JsonValue::Object(std::move(members));
-    }
-    for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected a string object key");
-      }
-      StatusOr<std::string> key = ParseString();
-      if (!key.ok()) {
-        return key.status();
-      }
-      SkipWhitespace();
-      if (!Consume(':')) {
-        return Error("expected ':' after object key");
-      }
-      StatusOr<JsonValue> value = ParseValue(depth + 1);
-      if (!value.ok()) {
-        return value;
-      }
-      members[std::move(key).value()] = std::move(value).value();
-      SkipWhitespace();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return JsonValue::Object(std::move(members));
-      }
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  StatusOr<JsonValue> ParseArray(int depth) {
-    ++pos_;  // '['
-    std::vector<JsonValue> items;
-    SkipWhitespace();
-    if (Consume(']')) {
-      return JsonValue::Array(std::move(items));
-    }
-    for (;;) {
-      StatusOr<JsonValue> value = ParseValue(depth + 1);
-      if (!value.ok()) {
-        return value;
-      }
-      items.push_back(std::move(value).value());
-      SkipWhitespace();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume(']')) {
-        return JsonValue::Array(std::move(items));
-      }
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  StatusOr<std::string> ParseString() {
-    ++pos_;  // opening '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Error("truncated \\u escape");
-            }
-            // Validated but passed through verbatim: the perf artifacts are
-            // ASCII and the validator only needs well-formedness.
-            for (int i = 0; i < 4; ++i) {
-              if (std::isxdigit(static_cast<unsigned char>(text_[pos_ + i])) == 0) {
-                return Error("invalid \\u escape");
-              }
-            }
-            out.append("\\u");
-            out.append(text_, pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return Error("invalid escape character");
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-    return Error("unterminated string");
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    size_t digits_start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == digits_start) {
-      return Error("invalid value");
-    }
-    std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      return Error("malformed number '" + token + "'");
-    }
-    return JsonValue::Number(value);
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// --- schema helpers ---
 
 Status RequireKind(const JsonValue& parent, const std::string& key, JsonValue::Kind kind,
                    const std::string& where, const JsonValue** out) {
@@ -332,18 +32,6 @@ Status RequireNumberKeys(const JsonValue& obj, const std::vector<std::string>& k
 }
 
 }  // namespace
-
-StatusOr<JsonValue> ParseJson(const std::string& text) { return Parser(text).Parse(); }
-
-StatusOr<JsonValue> ParseJsonFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseJson(buffer.str());
-}
 
 Status ValidateBenchThroughputJson(const JsonValue& root) {
   if (!root.is_object()) {
@@ -381,24 +69,6 @@ Status ValidateBenchThroughputJson(const JsonValue& root) {
         RequireKind(rec, "decision_latency_ms", JsonValue::Kind::kObject, where, &decision));
     MUDI_RETURN_IF_ERROR(RequireNumberKeys(*decision, {"count", "p50", "p95", "p99", "max"},
                                            where + ".decision_latency_ms"));
-  }
-
-  const JsonValue* optimizations = nullptr;
-  MUDI_RETURN_IF_ERROR(
-      RequireKind(root, "optimizations", JsonValue::Kind::kArray, "bench JSON", &optimizations));
-  if (optimizations->array().empty()) {
-    return InvalidArgumentError("bench JSON: 'optimizations' is empty — the trajectory must "
-                                "record at least one before/after hot-path delta");
-  }
-  for (size_t i = 0; i < optimizations->array().size(); ++i) {
-    const JsonValue& opt = optimizations->array()[i];
-    std::string where = "optimizations[" + std::to_string(i) + "]";
-    if (!opt.is_object()) {
-      return InvalidArgumentError(where + ": not an object");
-    }
-    MUDI_RETURN_IF_ERROR(RequireKind(opt, "name", JsonValue::Kind::kString, where, nullptr));
-    MUDI_RETURN_IF_ERROR(RequireNumberKeys(
-        opt, {"before_events_per_sec", "after_events_per_sec", "speedup"}, where));
   }
   return Status::Ok();
 }

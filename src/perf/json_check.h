@@ -1,73 +1,23 @@
-// Minimal JSON parser for validating the machine-readable perf artifacts
-// (BENCH_*.json, PerfReport output). Parses standard JSON into a small DOM;
-// no writer (the writers live next to the data they serialize) and no
-// streaming — these documents are kilobytes.
-//
-// This backs `bench_throughput --validate FILE` (the check.sh --bench gate)
-// and the schema assertions in tests/perf_test.cc.
+// Schema gate for the machine-readable perf trajectory (BENCH_throughput.json).
+// The JSON itself is parsed by the shared reader in src/common/json.h; this
+// file holds only the schema rules. It backs `bench_throughput --validate
+// FILE` (the check.sh --bench gate) and the schema assertions in
+// tests/perf_test.cc.
 #ifndef SRC_PERF_JSON_CHECK_H_
 #define SRC_PERF_JSON_CHECK_H_
 
-#include <map>
-#include <string>
-#include <vector>
-
+#include "src/common/json.h"
 #include "src/common/status.h"
 
 namespace mudi {
 namespace perf {
 
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  bool boolean() const { return bool_; }
-  double number() const { return number_; }
-  const std::string& string() const { return string_; }
-  const std::vector<JsonValue>& array() const { return array_; }
-  const std::map<std::string, JsonValue>& object() const { return object_; }
-
-  // Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-  bool Has(const std::string& key) const { return Find(key) != nullptr; }
-
-  static JsonValue Null() { return JsonValue(); }
-  static JsonValue Bool(bool b);
-  static JsonValue Number(double n);
-  static JsonValue String(std::string s);
-  static JsonValue Array(std::vector<JsonValue> items);
-  static JsonValue Object(std::map<std::string, JsonValue> members);
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
-};
-
-// Parses one complete JSON document (trailing whitespace allowed, anything
-// else after the document is an error). Errors carry line/offset context.
-StatusOr<JsonValue> ParseJson(const std::string& text);
-
-// Reads and parses a JSON file.
-StatusOr<JsonValue> ParseJsonFile(const std::string& path);
-
 // Schema gate for the repo-root throughput trajectory (BENCH_throughput.json,
-// schema mudi.bench_throughput.v1). Checks: schema tag, build metadata, a
+// schema mudi.bench_throughput.v1). Checks: schema tag, build metadata, and a
 // non-empty `records` array where every record names {preset, policy} and
 // carries events/sec, sim-seconds-per-wall-second, and decision-latency
-// p50/p95, and a non-empty `optimizations` array where every entry records a
-// before/after events-per-second delta.
+// p50/p95. Other keys (such as the frozen `optimizations` array of older
+// artifacts) are ignored.
 Status ValidateBenchThroughputJson(const JsonValue& root);
 
 }  // namespace perf

@@ -1,42 +1,12 @@
 #include "src/perf/perf_report.h"
 
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace mudi {
 namespace perf {
-
-void WriteJsonEscaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-void WriteJsonNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  os << v;
-}
 
 BuildMetadata BuildMetadata::Current() {
   BuildMetadata meta;
@@ -61,11 +31,11 @@ BuildMetadata BuildMetadata::Current() {
 
 void BuildMetadata::WriteJson(std::ostream& os) const {
   os << "{\"schema_version\":";
-  WriteJsonEscaped(os, schema_version);
+  WriteJsonString(os, schema_version);
   os << ",\"compiler\":";
-  WriteJsonEscaped(os, compiler);
+  WriteJsonString(os, compiler);
   os << ",\"build_type\":";
-  WriteJsonEscaped(os, build_type);
+  WriteJsonString(os, build_type);
   os << ",\"tracing_compiled_in\":" << (tracing_compiled_in ? "true" : "false") << "}";
 }
 
@@ -118,7 +88,7 @@ void PerfReport::WriteJson(std::ostream& os) const {
       os << ',';
     }
     first = false;
-    WriteJsonEscaped(os, region.name);
+    WriteJsonString(os, region.name);
     os << ":{\"count\":" << region.count << ",\"total_ms\":";
     WriteJsonNumber(os, region.total_ms);
     os << ",\"mean_ms\":";
@@ -142,7 +112,7 @@ void PerfReport::WriteJson(std::ostream& os) const {
       os << ',';
     }
     first = false;
-    WriteJsonEscaped(os, name);
+    WriteJsonString(os, name);
     os << ":" << value;
   }
   os << "},\"memory\":{\"current_rss_bytes\":" << memory.current_rss_bytes

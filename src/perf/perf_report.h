@@ -57,11 +57,6 @@ struct PerfReport {
   std::string ToJsonString() const;
 };
 
-// Shared JSON-fragment helpers for perf writers (escaped strings, finite
-// numbers). Exposed so bench emitters serialize consistently.
-void WriteJsonEscaped(std::ostream& os, const std::string& s);
-void WriteJsonNumber(std::ostream& os, double v);
-
 }  // namespace perf
 }  // namespace mudi
 

@@ -45,40 +45,16 @@ const char* ActionName(ActionKind action) {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-Status RequireString(const perf::JsonValue& root, const std::string& key) {
-  const perf::JsonValue* v = root.Find(key);
+Status RequireString(const JsonValue& root, const std::string& key) {
+  const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_string()) {
     return InvalidArgumentError("decision trace header: missing string field '" + key + "'");
   }
   return Status::Ok();
 }
 
-Status RequireNonNegativeInteger(const perf::JsonValue& root, const std::string& key) {
-  const perf::JsonValue* v = root.Find(key);
+Status RequireNonNegativeInteger(const JsonValue& root, const std::string& key) {
+  const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_number()) {
     return InvalidArgumentError("decision trace header: missing numeric field '" + key + "'");
   }
@@ -92,11 +68,11 @@ Status RequireNonNegativeInteger(const perf::JsonValue& root, const std::string&
 
 }  // namespace
 
-Status ValidateDecisionTraceHeader(const perf::JsonValue& root) {
+Status ValidateDecisionTraceHeader(const JsonValue& root) {
   if (!root.is_object()) {
     return InvalidArgumentError("decision trace header: not a JSON object");
   }
-  const perf::JsonValue* schema = root.Find("schema");
+  const JsonValue* schema = root.Find("schema");
   if (schema == nullptr || !schema->is_string() || schema->string() != kDecisionTraceSchema) {
     return InvalidArgumentError(std::string("decision trace header: schema must be '") +
                                 kDecisionTraceSchema + "'");
@@ -119,18 +95,22 @@ Status ValidateDecisionTraceHeader(const perf::JsonValue& root) {
 
 std::string EncodeTraceHeader(const TraceHeader& header) {
   std::ostringstream out;
-  out << "{\"schema\":\"" << JsonEscape(header.schema) << "\""
-      << ",\"policy\":\"" << JsonEscape(header.policy) << "\""
-      << ",\"mode\":\"" << JsonEscape(header.mode) << "\""
-      << ",\"base_policy\":\"" << JsonEscape(header.base_policy) << "\""
-      << ",\"seed\":" << header.seed << ",\"oracle_seed\":" << header.oracle_seed
+  out << "{\"schema\":";
+  WriteJsonString(out, header.schema);
+  out << ",\"policy\":";
+  WriteJsonString(out, header.policy);
+  out << ",\"mode\":";
+  WriteJsonString(out, header.mode);
+  out << ",\"base_policy\":";
+  WriteJsonString(out, header.base_policy);
+  out << ",\"seed\":" << header.seed << ",\"oracle_seed\":" << header.oracle_seed
       << ",\"num_devices\":" << header.num_devices << ",\"num_services\":" << header.num_services
       << ",\"service_offset\":" << header.service_offset << "}";
   return out.str();
 }
 
 StatusOr<TraceHeader> DecodeTraceHeader(const std::string& line) {
-  StatusOr<perf::JsonValue> parsed = perf::ParseJson(line);
+  StatusOr<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
     return Status(parsed.status().code(),
                   "decision trace header: " + parsed.status().message());

@@ -5,8 +5,8 @@
 // observation snapshot, candidate scores, chosen action(s), sim-time, and a
 // causal sequence number.
 //
-// File layout: one JSON header line (validated through the src/perf
-// json_check parser, like the BENCH_*.json artifacts), followed by
+// File layout: one JSON header line (parsed by the shared reader in
+// src/common/json.h, like the BENCH_*.json artifacts), followed by
 // length-prefixed little-endian binary records:
 //
 //   {"schema":"mudi.decision_trace.v1", ...}\n
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "src/cluster/replay_hooks.h"
+#include "src/common/json.h"
 #include "src/common/status.h"
-#include "src/perf/json_check.h"
 
 namespace mudi {
 namespace replay {
@@ -215,12 +215,12 @@ struct DecisionTrace {
   uint64_t total_records = 0;
 };
 
-// --- header validation (json_check idiom) ------------------------------------
+// --- header validation ------------------------------------------------------
 
 // Schema gate for the JSON header line: schema tag, policy/mode strings,
 // integral seed and topology fields. `mode` must be "record" or
 // "counterfactual".
-Status ValidateDecisionTraceHeader(const perf::JsonValue& root);
+Status ValidateDecisionTraceHeader(const JsonValue& root);
 
 // Serializes the header as a single deterministic JSON line (no trailing
 // newline) and parses it back.

@@ -1,48 +1,13 @@
 #include "src/telemetry/metrics_registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <set>
 
+#include "src/common/json.h"
+
 namespace mudi {
 namespace telemetry {
-
-namespace {
-
-// JSON-safe number: NaN/inf have no JSON representation, emit 0.
-void WriteJsonNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  os << v;
-}
-
-void WriteJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds) : upper_bounds_(std::move(upper_bounds)) {
   std::sort(upper_bounds_.begin(), upper_bounds_.end());

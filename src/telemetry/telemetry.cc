@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "src/common/env.h"
+#include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/common/thread_annotations.h"
 
@@ -13,17 +14,6 @@ namespace {
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void WriteJsonEscapedLabel(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\';
-    }
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -93,7 +83,7 @@ void Telemetry::Flush(const std::string& label) {
     std::ofstream os(options_.metrics_json, std::ios::app);
     if (os.is_open()) {
       os << "{\"label\":";
-      WriteJsonEscapedLabel(os, label);
+      WriteJsonString(os, label);
       os << ",\"telemetry\":";
       metrics_.WriteJson(os);
       os << "}\n";

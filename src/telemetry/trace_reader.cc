@@ -1,267 +1,18 @@
 #include "src/telemetry/trace_reader.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
+#include "src/common/json.h"
+
 namespace mudi {
 namespace telemetry {
 
 namespace {
-
-// --- minimal JSON value + recursive-descent parser --------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-  double NumberOr(double fallback) const { return type == Type::kNumber ? number : fallback; }
-};
-
-class JsonParser {
- public:
-  JsonParser(const std::string& text, std::string* error) : text_(text), error_(error) {}
-
-  bool Parse(JsonValue* out) {
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON document");
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = message + " (offset " + std::to_string(pos_) + ")";
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                                   text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return Fail("unexpected end of input");
-    }
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->type = JsonValue::Type::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't' || c == 'f') return ParseKeyword(out);
-    if (c == 'n') return ParseKeyword(out);
-    return ParseNumber(out);
-  }
-
-  bool ParseKeyword(JsonValue* out) {
-    auto match = [&](const char* kw) {
-      size_t len = std::string(kw).size();
-      if (text_.compare(pos_, len, kw) == 0) {
-        pos_ += len;
-        return true;
-      }
-      return false;
-    };
-    if (match("true")) {
-      out->type = JsonValue::Type::kBool;
-      out->boolean = true;
-      return true;
-    }
-    if (match("false")) {
-      out->type = JsonValue::Type::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out->type = JsonValue::Type::kNull;
-      return true;
-    }
-    return Fail("invalid keyword");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("invalid number");
-    }
-    char* end = nullptr;
-    std::string token = text_.substr(start, pos_ - start);
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return Fail("invalid number token '" + token + "'");
-    }
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return Fail("expected '\"'");
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Fail("truncated \\u escape");
-            }
-            unsigned code = static_cast<unsigned>(
-                std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            // ASCII only (all the recorder emits); others degrade to '?'.
-            out->push_back(code < 0x80 ? static_cast<char>(code) : '?');
-            break;
-          }
-          default:
-            return Fail("bad escape");
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    if (!Consume('[')) {
-      return Fail("expected '['");
-    }
-    if (Consume(']')) {
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!ParseValue(&element)) {
-        return false;
-      }
-      out->array.push_back(std::move(element));
-      if (Consume(']')) {
-        return true;
-      }
-      if (!Consume(',')) {
-        return Fail("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    if (!Consume('{')) {
-      return Fail("expected '{'");
-    }
-    if (Consume('}')) {
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      if (!Consume(':')) {
-        return Fail("expected ':' after object key");
-      }
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->object.emplace_back(std::move(key), std::move(value));
-      if (Consume('}')) {
-        return true;
-      }
-      if (!Consume(',')) {
-        return Fail("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::string* error_;
-  size_t pos_ = 0;
-};
 
 template <typename T>
 bool ReadRaw(std::istream& is, T* value) {
@@ -284,20 +35,23 @@ bool ReadLenString(std::istream& is, std::string* out) {
 }  // namespace
 
 bool ParseChromeTraceJson(std::istream& is, ParsedTrace* out, std::string* error) {
+  auto fail = [&](const std::string& message) {
+    if (error != nullptr) {
+      *error = message;
+    }
+    return false;
+  };
   std::ostringstream buf;
   buf << is.rdbuf();
-  std::string text = buf.str();
-
-  JsonValue root;
-  JsonParser parser(text, error);
-  if (!parser.Parse(&root)) {
-    return false;
+  StatusOr<JsonValue> parsed = ParseJson(buf.str());
+  if (!parsed.ok()) {
+    return fail(parsed.status().message());
   }
+  const JsonValue& root = *parsed;
   const JsonValue* events = nullptr;
-  if (root.type == JsonValue::Type::kObject) {
+  if (root.is_object()) {
     events = root.Find("traceEvents");
-    if (const JsonValue* other = root.Find("otherData");
-        other != nullptr && other->type == JsonValue::Type::kObject) {
+    if (const JsonValue* other = root.Find("otherData"); other != nullptr && other->is_object()) {
       if (const JsonValue* d = other->Find("droppedEvents")) {
         out->dropped_events = static_cast<uint64_t>(d->NumberOr(0.0));
       }
@@ -305,65 +59,57 @@ bool ParseChromeTraceJson(std::istream& is, ParsedTrace* out, std::string* error
         out->total_recorded = static_cast<uint64_t>(t->NumberOr(0.0));
       }
     }
-  } else if (root.type == JsonValue::Type::kArray) {
+  } else if (root.is_array()) {
     events = &root;  // bare-array trace files are also valid Chrome traces
   }
-  if (events == nullptr || events->type != JsonValue::Type::kArray) {
-    if (error != nullptr) {
-      *error = "no traceEvents array found";
-    }
-    return false;
+  if (events == nullptr || !events->is_array()) {
+    return fail("no traceEvents array found");
   }
 
-  for (const JsonValue& ev : events->array) {
-    if (ev.type != JsonValue::Type::kObject) {
-      if (error != nullptr) {
-        *error = "trace event is not an object";
-      }
-      return false;
+  auto number_of = [](const JsonValue& ev, const char* key) {
+    const JsonValue* v = ev.Find(key);
+    return v != nullptr ? v->NumberOr(0.0) : 0.0;
+  };
+  for (const JsonValue& ev : events->array()) {
+    if (!ev.is_object()) {
+      return fail("trace event is not an object");
     }
     const JsonValue* ph = ev.Find("ph");
-    if (ph == nullptr || ph->type != JsonValue::Type::kString || ph->str.empty()) {
-      if (error != nullptr) {
-        *error = "trace event missing 'ph'";
-      }
-      return false;
+    if (ph == nullptr || !ph->is_string() || ph->string().empty()) {
+      return fail("trace event missing 'ph'");
     }
-    int tid = static_cast<int>(ev.Find("tid") ? ev.Find("tid")->NumberOr(0.0) : 0.0);
-    if (ph->str == "M") {
+    int tid = static_cast<int>(number_of(ev, "tid"));
+    if (ph->string() == "M") {
       const JsonValue* name = ev.Find("name");
       const JsonValue* args = ev.Find("args");
-      const JsonValue* value =
-          (args != nullptr && args->type == JsonValue::Type::kObject) ? args->Find("name")
-                                                                      : nullptr;
-      if (name != nullptr && value != nullptr && value->type == JsonValue::Type::kString) {
-        if (name->str == "thread_name") {
-          out->thread_names[tid] = value->str;
-        } else if (name->str == "process_name") {
-          out->process_name = value->str;
+      const JsonValue* value = args != nullptr ? args->Find("name") : nullptr;
+      if (name != nullptr && value != nullptr && value->is_string()) {
+        if (name->string() == "thread_name") {
+          out->thread_names[tid] = value->string();
+        } else if (name->string() == "process_name") {
+          out->process_name = value->string();
         }
       }
       continue;
     }
     TraceEvent e;
-    e.phase = ph->str[0];
+    e.phase = ph->string()[0];
     e.tid = tid;
-    e.pid = static_cast<int>(ev.Find("pid") ? ev.Find("pid")->NumberOr(0.0) : 0.0);
-    e.ts_ms = (ev.Find("ts") ? ev.Find("ts")->NumberOr(0.0) : 0.0) / 1000.0;
-    e.dur_ms = (ev.Find("dur") ? ev.Find("dur")->NumberOr(0.0) : 0.0) / 1000.0;
+    e.pid = static_cast<int>(number_of(ev, "pid"));
+    e.ts_ms = number_of(ev, "ts") / 1000.0;
+    e.dur_ms = number_of(ev, "dur") / 1000.0;
     if (const JsonValue* name = ev.Find("name"); name != nullptr) {
-      e.name = name->str;
+      e.name = name->string();
     }
     if (const JsonValue* cat = ev.Find("cat"); cat != nullptr) {
-      e.cat = cat->str;
+      e.cat = cat->string();
     }
-    if (const JsonValue* args = ev.Find("args");
-        args != nullptr && args->type == JsonValue::Type::kObject) {
-      for (const auto& [key, value] : args->object) {
-        if (value.type == JsonValue::Type::kNumber) {
-          e.args.push_back(TraceArg::Num(key, value.number));
-        } else if (value.type == JsonValue::Type::kString) {
-          e.args.push_back(TraceArg::Str(key, value.str));
+    if (const JsonValue* args = ev.Find("args"); args != nullptr) {
+      for (const auto& [key, value] : args->object()) {
+        if (value.is_number()) {
+          e.args.push_back(TraceArg::Num(key, value.number()));
+        } else if (value.is_string()) {
+          e.args.push_back(TraceArg::Str(key, value.string()));
         }
       }
     }

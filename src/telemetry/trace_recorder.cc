@@ -1,53 +1,25 @@
 #include "src/telemetry/trace_recorder.h"
 
-#include <cstdio>
 #include <ostream>
 #include <unordered_map>
+
+#include "src/common/json.h"
 
 namespace mudi {
 namespace telemetry {
 
 namespace {
 
-void WriteJsonEscaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void WriteArgs(std::ostream& os, const TraceArgs& args) {
   os << "{";
   for (size_t i = 0; i < args.size(); ++i) {
     if (i > 0) os << ',';
-    WriteJsonEscaped(os, args[i].key);
+    WriteJsonString(os, args[i].key);
     os << ':';
     if (args[i].is_number) {
-      os << args[i].number;
+      WriteJsonNumber(os, args[i].number);
     } else {
-      WriteJsonEscaped(os, args[i].text);
+      WriteJsonString(os, args[i].text);
     }
   }
   os << "}";
@@ -155,7 +127,7 @@ void TraceRecorder::ExportChromeJson(std::ostream& os) const {
   bool first = true;
   if (!process_name_.empty()) {
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":";
-    WriteJsonEscaped(os, process_name_);
+    WriteJsonString(os, process_name_);
     os << "}}";
     first = false;
   }
@@ -164,7 +136,7 @@ void TraceRecorder::ExportChromeJson(std::ostream& os) const {
     first = false;
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
        << ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    WriteJsonEscaped(os, name);
+    WriteJsonString(os, name);
     os << "}}";
   }
   for (const TraceEvent& e : ChronologicalEvents()) {
@@ -176,9 +148,9 @@ void TraceRecorder::ExportChromeJson(std::ostream& os) const {
       os << ",\"dur\":" << e.dur_ms * 1000.0;
     }
     os << ",\"cat\":";
-    WriteJsonEscaped(os, e.cat);
+    WriteJsonString(os, e.cat);
     os << ",\"name\":";
-    WriteJsonEscaped(os, e.name);
+    WriteJsonString(os, e.name);
     if (!e.args.empty()) {
       os << ",\"args\":";
       WriteArgs(os, e.args);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/sim/retry.h"
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -308,6 +311,107 @@ TEST(StatusOrTest, MoveOut) {
   StatusOr<std::string> v(std::string("hello"));
   std::string s = std::move(v).value();
   EXPECT_EQ(s, "hello");
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader and writer
+// ---------------------------------------------------------------------------
+
+TEST(JsonCheckTest, ParsesScalarsArraysObjects) {
+  StatusOr<JsonValue> doc =
+      ParseJson(R"({"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "s"})");
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  const JsonValue* a = doc->Find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->array().size(), 3u);
+  EXPECT_DOUBLE_EQ(a->array()[1].number(), 2.5);
+  EXPECT_DOUBLE_EQ(a->array()[2].number(), -300.0);
+  EXPECT_TRUE(doc->Find("b")->Find("c")->boolean());
+  EXPECT_FALSE(doc->Find("b")->Find("c")->is_null());
+  EXPECT_TRUE(doc->Find("b")->Find("d")->is_null());
+  EXPECT_EQ(doc->Find("e")->string(), "s");
+  EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']')).ok());
+}
+
+TEST(JsonCheckTest, ObjectMembersKeepDocumentOrder) {
+  StatusOr<JsonValue> doc = ParseJson(R"({"z": 1, "a": 2, "z": 3, "u": "\u0041\u00e9"})");
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  const std::vector<JsonValue::Member>& members = doc->object();
+  ASSERT_EQ(members.size(), 4u);
+  EXPECT_EQ(members[0].first, "z");
+  EXPECT_EQ(members[1].first, "a");
+  EXPECT_EQ(members[2].first, "z");
+  EXPECT_DOUBLE_EQ(doc->Find("z")->number(), 1.0);  // first match wins
+  EXPECT_EQ(doc->Find("u")->string(), "A?");         // non-ASCII degrades to '?'
+}
+
+TEST(JsonCheckTest, RejectsMalformedInput) {
+  const std::vector<std::string> malformed = {
+      "",
+      "{",
+      "{\"a\": }",
+      "[1, 2,]",
+      "{\"a\": 1,}",
+      "[1 2]",
+      "{1: 2}",
+      "\"unterminated",
+      "{} trailing",
+      "nul",
+      "tru",
+      "+1",
+      ".5",
+      "1.",
+      "01",
+      "1e",
+      "-",
+      "0x10",
+      "\"\\x\"",
+      "\"\\u12\"",
+      "\"\\u00zz\"",
+      "\"a\x01" "b\"",
+      "\"tab\there\"",
+      std::string(66, '[') + std::string(66, ']'),
+  };
+  for (const std::string& text : malformed) {
+    StatusOr<JsonValue> doc = ParseJson(text);
+    ASSERT_FALSE(doc.ok()) << "accepted: " << text;
+    EXPECT_NE(doc.status().message().find("JSON parse error at line"), std::string::npos)
+        << doc.status().message();
+  }
+}
+
+TEST(JsonCheckTest, ReportsLineInParseErrors) {
+  Status status = ParseJson("{\n\"a\": oops\n}").status();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("line 2"), std::string::npos) << status.message();
+}
+
+TEST(JsonCheckTest, WriterOutputParsesBack) {
+  std::string every_byte;
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    every_byte.push_back(static_cast<char>(c));
+  }
+  std::ostringstream os;
+  os << '[';
+  WriteJsonString(os, every_byte);
+  os << ',';
+  WriteJsonNumber(os, std::numeric_limits<double>::quiet_NaN());
+  os << ',';
+  WriteJsonNumber(os, -std::numeric_limits<double>::infinity());
+  os << ',';
+  WriteJsonNumber(os, 1.5e-7);
+  os << ']';
+  StatusOr<JsonValue> doc = ParseJson(os.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().message() << "\n" << os.str();
+  ASSERT_EQ(doc->array().size(), 4u);
+  EXPECT_EQ(doc->array()[0].string(), every_byte);
+  EXPECT_DOUBLE_EQ(doc->array()[1].number(), 0.0);
+  EXPECT_DOUBLE_EQ(doc->array()[2].number(), 0.0);
+  EXPECT_DOUBLE_EQ(doc->array()[3].number(), 1.5e-7);
+
+  StatusOr<JsonValue> raw = ParseJson(std::string("\"a") + '\x01' + "b\"");
+  ASSERT_FALSE(raw.ok());
+  EXPECT_NE(raw.status().message().find("control character"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -280,36 +280,7 @@ TEST(PerfReportTest, BuildMetadataIsPopulated) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parser + BENCH_throughput.json schema validator
-
-TEST(JsonCheckTest, ParsesScalarsArraysObjects) {
-  StatusOr<JsonValue> doc =
-      ParseJson(R"({"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "s"})");
-  ASSERT_TRUE(doc.ok()) << doc.status().message();
-  const JsonValue* a = doc->Find("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->array().size(), 3u);
-  EXPECT_DOUBLE_EQ(a->array()[1].number(), 2.5);
-  EXPECT_DOUBLE_EQ(a->array()[2].number(), -300.0);
-  EXPECT_TRUE(doc->Find("b")->Find("c")->boolean());
-  EXPECT_TRUE(doc->Find("b")->Find("d")->is_null());
-  EXPECT_EQ(doc->Find("e")->string(), "s");
-}
-
-TEST(JsonCheckTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseJson("{").ok());
-  EXPECT_FALSE(ParseJson("{\"a\": }").ok());
-  EXPECT_FALSE(ParseJson("[1, 2,]").ok());
-  EXPECT_FALSE(ParseJson("\"unterminated").ok());
-  EXPECT_FALSE(ParseJson("{} trailing").ok());
-  EXPECT_FALSE(ParseJson("nul").ok());
-}
-
-TEST(JsonCheckTest, ReportsLineInParseErrors) {
-  Status status = ParseJson("{\n\"a\": oops\n}").status();
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("line 2"), std::string::npos) << status.message();
-}
+// BENCH_throughput.json schema validator
 
 std::string GoodBenchJson() {
   return R"({
@@ -321,10 +292,6 @@ std::string GoodBenchJson() {
        "events_fired": 5, "events_scheduled": 6, "events_cancelled": 1,
        "events_per_sec": 500.0, "sim_seconds_per_wall_second": 10.0,
        "decision_latency_ms": {"count": 3, "p50": 0.1, "p95": 0.2, "p99": 0.3, "max": 0.4}}
-    ],
-    "optimizations": [
-      {"name": "sim.event-state-vector",
-       "before_events_per_sec": 1.0, "after_events_per_sec": 2.0, "speedup": 2.0}
     ]
   })";
 }
@@ -352,7 +319,7 @@ TEST(BenchSchemaTest, RejectsWrongSchemaTag) {
 
 TEST(BenchSchemaTest, RejectsEmptyRecords) {
   ExpectInvalid(R"({"schema": "mudi.bench_throughput.v1", "build": {},
-                    "records": [], "optimizations": []})",
+                    "records": []})",
                 "'records' is empty");
 }
 
@@ -362,22 +329,6 @@ TEST(BenchSchemaTest, RejectsMissingDecisionLatency) {
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, std::strlen("\"decision_latency_ms\""), "\"renamed\"");
   ExpectInvalid(json, "decision_latency_ms");
-}
-
-TEST(BenchSchemaTest, RejectsMissingOptimizations) {
-  std::string json = GoodBenchJson();
-  size_t pos = json.find("\"optimizations\"");
-  json.replace(pos, std::strlen("\"optimizations\""), "\"optimisations\"");
-  ExpectInvalid(json, "optimizations");
-}
-
-TEST(BenchSchemaTest, RejectsEmptyOptimizations) {
-  std::string json = GoodBenchJson();
-  size_t start = json.find("\"optimizations\": [");
-  size_t open = json.find('[', start);
-  size_t close = json.find(']', open);
-  json.erase(open + 1, close - open - 1);
-  ExpectInvalid(json, "'optimizations' is empty");
 }
 
 TEST(BenchSchemaTest, RejectsNonNumericMetric) {

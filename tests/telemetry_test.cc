@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -244,6 +245,33 @@ TEST(TraceRecorderTest, DroppedCountSurvivesExport) {
   ASSERT_TRUE(telemetry::ParseChromeTraceJson(is, &trace, &error)) << error;
   EXPECT_EQ(trace.dropped_events, 3u);
   EXPECT_EQ(trace.total_recorded, 5u);
+}
+
+TEST(TraceRecorderTest, NonFiniteArgsExportAsValidJson) {
+  TraceRecorder recorder;
+  recorder.Instant("c", "e", 0, 1.0,
+                   TraceArgs{TraceArg::Num("nan", std::numeric_limits<double>::quiet_NaN()),
+                             TraceArg::Num("inf", std::numeric_limits<double>::infinity())});
+  std::ostringstream os;
+  recorder.ExportChromeJson(os);
+  std::istringstream is(os.str());
+  ParsedTrace trace;
+  std::string error;
+  ASSERT_TRUE(telemetry::ParseChromeTraceJson(is, &trace, &error)) << error << "\n" << os.str();
+  ASSERT_EQ(trace.events.size(), 1u);
+  ASSERT_EQ(trace.events[0].args.size(), 2u);
+  EXPECT_EQ(trace.events[0].args[0].number, 0.0);
+  EXPECT_EQ(trace.events[0].args[1].number, 0.0);
+}
+
+TEST(TraceReaderTest, DeeplyNestedJsonFailsWithoutCrashing) {
+  constexpr size_t kDepth = 100000;
+  std::istringstream is("{\"traceEvents\":" + std::string(kDepth, '[') +
+                        std::string(kDepth, ']') + "}");
+  ParsedTrace trace;
+  std::string error;
+  EXPECT_FALSE(telemetry::ParseChromeTraceJson(is, &trace, &error));
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "src/perf/json_check.h"
+#include "src/common/json.h"
 
 namespace mudi::lint {
 
@@ -1733,26 +1733,26 @@ std::optional<IncludeFix> FixOwnHeaderFirst(const std::string& path,
 }
 
 Status ValidateLintJson(const std::string& text) {
-  StatusOr<perf::JsonValue> parsed = perf::ParseJson(text);
+  StatusOr<JsonValue> parsed = ParseJson(text);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  const perf::JsonValue& root = *parsed;
+  const JsonValue& root = *parsed;
   if (!root.is_object()) {
     return InvalidArgumentError("lint json: root must be an object");
   }
-  const perf::JsonValue* schema = root.Find("schema");
+  const JsonValue* schema = root.Find("schema");
   if (schema == nullptr || !schema->is_string() || schema->string() != "mudi.lint.v1") {
     return InvalidArgumentError("lint json: schema must be the string \"mudi.lint.v1\"");
   }
-  const perf::JsonValue* files_scanned = root.Find("files_scanned");
+  const JsonValue* files_scanned = root.Find("files_scanned");
   if (files_scanned == nullptr || !files_scanned->is_number() ||
       files_scanned->number() < 0) {
     return InvalidArgumentError("lint json: files_scanned must be a non-negative number");
   }
 
   const std::vector<std::string> names = CheckNames();
-  const perf::JsonValue* checks = root.Find("checks");
+  const JsonValue* checks = root.Find("checks");
   if (checks == nullptr || !checks->is_array() || checks->array().size() != names.size()) {
     return InvalidArgumentError("lint json: checks must be an array of exactly " +
                                 std::to_string(names.size()) + " entries");
@@ -1760,19 +1760,19 @@ Status ValidateLintJson(const std::string& text) {
   double per_check_suppressed = 0;
   double per_check_unsuppressed = 0;
   for (size_t i = 0; i < names.size(); ++i) {
-    const perf::JsonValue& entry = checks->array()[i];
+    const JsonValue& entry = checks->array()[i];
     if (!entry.is_object()) {
       return InvalidArgumentError("lint json: checks[" + std::to_string(i) +
                                   "] must be an object");
     }
-    const perf::JsonValue* name = entry.Find("name");
+    const JsonValue* name = entry.Find("name");
     if (name == nullptr || !name->is_string() || name->string() != names[i]) {
       return InvalidArgumentError("lint json: checks[" + std::to_string(i) +
                                   "].name must be \"" + names[i] +
                                   "\" (the catalogue, in sorted order)");
     }
     for (const char* key : {"unsuppressed", "suppressed"}) {
-      const perf::JsonValue* count = entry.Find(key);
+      const JsonValue* count = entry.Find(key);
       if (count == nullptr || !count->is_number() || count->number() < 0) {
         return InvalidArgumentError("lint json: checks[" + std::to_string(i) + "]." + key +
                                     " must be a non-negative number");
@@ -1782,7 +1782,7 @@ Status ValidateLintJson(const std::string& text) {
     per_check_suppressed += entry.Find("suppressed")->number();
   }
 
-  const perf::JsonValue* findings = root.Find("findings");
+  const JsonValue* findings = root.Find("findings");
   if (findings == nullptr || !findings->is_array()) {
     return InvalidArgumentError("lint json: findings must be an array");
   }
@@ -1790,34 +1790,34 @@ Status ValidateLintJson(const std::string& text) {
   double suppressed_total = 0;
   double unsuppressed_total = 0;
   for (size_t i = 0; i < findings->array().size(); ++i) {
-    const perf::JsonValue& f = findings->array()[i];
+    const JsonValue& f = findings->array()[i];
     std::string where = "lint json: findings[" + std::to_string(i) + "]";
     if (!f.is_object()) {
       return InvalidArgumentError(where + " must be an object");
     }
-    const perf::JsonValue* file = f.Find("file");
+    const JsonValue* file = f.Find("file");
     if (file == nullptr || !file->is_string() || file->string().empty()) {
       return InvalidArgumentError(where + ".file must be a non-empty string");
     }
-    const perf::JsonValue* line = f.Find("line");
+    const JsonValue* line = f.Find("line");
     if (line == nullptr || !line->is_number() || line->number() < 1) {
       return InvalidArgumentError(where + ".line must be a number >= 1");
     }
-    const perf::JsonValue* check = f.Find("check");
+    const JsonValue* check = f.Find("check");
     if (check == nullptr || !check->is_string() ||
         catalogue.count(check->string()) == 0) {
       return InvalidArgumentError(where + ".check must name a catalogue check");
     }
-    const perf::JsonValue* severity = f.Find("severity");
+    const JsonValue* severity = f.Find("severity");
     if (severity == nullptr || !severity->is_string() ||
         (severity->string() != "error" && severity->string() != "warning")) {
       return InvalidArgumentError(where + ".severity must be \"error\" or \"warning\"");
     }
-    const perf::JsonValue* suppressed = f.Find("suppressed");
+    const JsonValue* suppressed = f.Find("suppressed");
     if (suppressed == nullptr || !suppressed->is_bool()) {
       return InvalidArgumentError(where + ".suppressed must be a boolean");
     }
-    const perf::JsonValue* message = f.Find("message");
+    const JsonValue* message = f.Find("message");
     if (message == nullptr || !message->is_string() || message->string().empty()) {
       return InvalidArgumentError(where + ".message must be a non-empty string");
     }
@@ -1828,8 +1828,8 @@ Status ValidateLintJson(const std::string& text) {
     }
   }
 
-  const perf::JsonValue* total_suppressed = root.Find("suppressed");
-  const perf::JsonValue* total_unsuppressed = root.Find("unsuppressed");
+  const JsonValue* total_suppressed = root.Find("suppressed");
+  const JsonValue* total_unsuppressed = root.Find("unsuppressed");
   if (total_suppressed == nullptr || !total_suppressed->is_number() ||
       total_unsuppressed == nullptr || !total_unsuppressed->is_number()) {
     return InvalidArgumentError("lint json: suppressed/unsuppressed totals must be numbers");

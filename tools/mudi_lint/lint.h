@@ -246,7 +246,7 @@ std::optional<IncludeFix> FixOwnHeaderFirst(const std::string& path,
                                             const std::string& content);
 
 // Schema gate for `mudi_lint --json` output (schema mudi.lint.v1), in the
-// same spirit as ValidateBenchThroughputJson: parse with src/perf/json_check
+// same spirit as ValidateBenchThroughputJson: parse with src/common/json.h
 // and verify the document shape, the 12-check catalogue, and that the
 // summary counts are consistent with the findings array.
 Status ValidateLintJson(const std::string& text);

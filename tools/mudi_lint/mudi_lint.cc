@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
+
 namespace fs = std::filesystem;
 
 namespace {
@@ -55,35 +57,11 @@ std::string ReadFile(const fs::path& p, bool* ok) {
   return os.str();
 }
 
-// JSON string escaping for the --json report.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+// A quoted, escaped JSON string for the --json report.
+std::string JsonQuoted(const std::string& s) {
+  std::ostringstream os;
+  mudi::WriteJsonString(os, s);
+  return os.str();
 }
 
 void PrintUsage() {
@@ -278,11 +256,11 @@ int main(int argc, char** argv) {
     std::printf("\n  ],\n  \"findings\": [");
     first = true;
     for (const auto& f : findings) {
-      std::printf("%s\n    {\"file\": \"%s\", \"line\": %d, \"check\": \"%s\", "
-                  "\"severity\": \"%s\", \"suppressed\": %s, \"message\": \"%s\"}",
-                  first ? "" : ",", JsonEscape(f.file).c_str(), f.line, f.check.c_str(),
+      std::printf("%s\n    {\"file\": %s, \"line\": %d, \"check\": \"%s\", "
+                  "\"severity\": \"%s\", \"suppressed\": %s, \"message\": %s}",
+                  first ? "" : ",", JsonQuoted(f.file).c_str(), f.line, f.check.c_str(),
                   mudi::lint::SeverityName(f.severity), f.suppressed ? "true" : "false",
-                  JsonEscape(f.message).c_str());
+                  JsonQuoted(f.message).c_str());
       first = false;
     }
     std::printf("\n  ],\n  \"suppressed\": %zu,\n  \"unsuppressed\": %zu\n}\n", suppressed,

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/perf/json_check.h"
+#include "src/common/json.h"
 #include "src/replay/decision_trace.h"
 #include "src/telemetry/trace_reader.h"
 
@@ -35,15 +35,15 @@ struct RegionRow {
   double max_ms = 0.0;
 };
 
-double NumberField(const mudi::perf::JsonValue& obj, const std::string& key) {
-  const mudi::perf::JsonValue* v = obj.Find(key);
+double NumberField(const mudi::JsonValue& obj, const std::string& key) {
+  const mudi::JsonValue* v = obj.Find(key);
   return v != nullptr && v->is_number() ? v->number() : 0.0;
 }
 
 // Prints the top-N regions of one parsed perf report, hottest (largest
 // total_ms) first. Returns false if the document is not a perf report.
-bool PrintPerfReportSummary(const mudi::perf::JsonValue& root, size_t top_n) {
-  const mudi::perf::JsonValue* regions = root.Find("regions");
+bool PrintPerfReportSummary(const mudi::JsonValue& root, size_t top_n) {
+  const mudi::JsonValue* regions = root.Find("regions");
   if (regions == nullptr || !regions->is_object()) {
     return false;
   }
@@ -77,9 +77,9 @@ bool PrintPerfReportSummary(const mudi::perf::JsonValue& root, size_t top_n) {
     std::printf("%-36s %10.0f %12.3f %10.4f %10.4f %10.4f\n", r.name.c_str(), r.count,
                 r.total_ms, r.mean_ms, r.p95_ms, r.max_ms);
   }
-  const mudi::perf::JsonValue* allocs = root.Find("allocs");
+  const mudi::JsonValue* allocs = root.Find("allocs");
   if (allocs != nullptr && allocs->is_object()) {
-    const mudi::perf::JsonValue* hooked = allocs->Find("hooked");
+    const mudi::JsonValue* hooked = allocs->Find("hooked");
     if (hooked != nullptr && hooked->is_bool() && hooked->boolean()) {
       std::printf("allocs: %.0f allocations / %.0f bytes (hooked)\n",
                   NumberField(*allocs, "allocations"), NumberField(*allocs, "bytes_allocated"));
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     // A perf report is a JSON object with a "regions" member; everything
     // else falls through to the trace reader (which handles both Chrome
     // JSON traces and the binary format).
-    mudi::StatusOr<mudi::perf::JsonValue> parsed = mudi::perf::ParseJsonFile(path);
+    mudi::StatusOr<mudi::JsonValue> parsed = mudi::ParseJsonFile(path);
     if (parsed.ok() && PrintPerfReportSummary(*parsed, top_n)) {
       continue;
     }
