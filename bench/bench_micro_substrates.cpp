@@ -1,12 +1,15 @@
 // Micro-benchmarks of the hot substrate paths (google-benchmark): the
 // event engine, the performance oracle, piece-wise fitting, the GP
 // surrogate, and the interference learners. These bound how far the cluster
-// simulation scales (events/sec) and how cheap Mudi's decision math is.
+// simulation scales (events/sec) and how cheap Mudi's decision math is. The
+// *Fit benchmarks time one learner fit at Initialize's cross-validation shape
+// (24 rows of 12 features); `--benchmark_filter='Fit$'` runs just those.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/ml/gaussian_process.h"
+#include "src/ml/mlp.h"
 #include "src/ml/piecewise_linear.h"
 #include "src/ml/random_forest.h"
 #include "src/sim/simulator.h"
@@ -100,6 +103,46 @@ void BM_RandomForestPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestPredict);
+
+// One fold-sized training set of the Interference Modeler: 24 profiled
+// colocations, 12 features each.
+void MakeFitShapeData(std::vector<std::vector<double>>* x, std::vector<double>* y) {
+  Rng rng(11);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<double> row(12);
+    for (auto& v : row) {
+      v = rng.Uniform();
+    }
+    y->push_back(row[0] * 3.0 - row[5] * row[7] + 1.0);
+    x->push_back(std::move(row));
+  }
+}
+
+void BM_MlpFit(benchmark::State& state) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeFitShapeData(&x, &y);
+  MlpOptions options;
+  options.epochs = 300;  // DefaultRegressorZoo's selection-time budget
+  for (auto _ : state) {
+    MlpRegressor model(options);
+    model.Fit(x, y);
+    benchmark::DoNotOptimize(model.Predict(x[3]));
+  }
+}
+BENCHMARK(BM_MlpFit);
+
+void BM_RandomForestFit(benchmark::State& state) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeFitShapeData(&x, &y);
+  for (auto _ : state) {
+    RandomForestRegressor model;
+    model.Fit(x, y);
+    benchmark::DoNotOptimize(model.Predict(x[3]));
+  }
+}
+BENCHMARK(BM_RandomForestFit);
 
 }  // namespace
 

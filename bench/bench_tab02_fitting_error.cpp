@@ -94,7 +94,6 @@ int main() {
         errors[0][s] += MeanAbsPctError(poly_pred, etruth);
         // MLP.
         MlpOptions mlp_options;
-        mlp_options.hidden_units = 16;
         mlp_options.epochs = 250;
         MlpRegressor mlp(mlp_options);
         std::vector<std::vector<double>> mx;

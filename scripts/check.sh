@@ -25,7 +25,10 @@
 #            decorated, plain and repeated runs give one result digest).
 #            Opt-in via --bench. Fails on a non-zero bench exit, a missing
 #            artifact, a malformed/incomplete document or a failed
-#            self-test. When the committed
+#            self-test. It also runs the learner-fit micro-benchmarks
+#            (bench_micro_substrates --benchmark_filter='Fit$') and prints
+#            CPU ns per fit in the stage detail, without gating on them.
+#            When the committed
 #            BENCH_throughput.json baseline exists, also re-runs the smoke
 #            preset at full scale and FAILS if any (preset, policy) pair's
 #            events/s regressed more than 20% against it (WARN instead of
@@ -107,7 +110,7 @@ while [ $# -gt 0 ]; do
       RUN_REPLAY=1
       ;;
     -h|--help)
-      sed -n '2,59p' "$0"
+      sed -n '2,62p' "$0"
       exit 0
       ;;
     -*)
@@ -344,7 +347,19 @@ if [ "$RUN_BENCH" -eq 1 ]; then
       BENCH_RESULT=FAIL
     fi
   fi
-  record "bench" "$BENCH_RESULT"
+  # Learner-fit micro-benchmarks at Initialize's cross-validation shape
+  # (DESIGN.md §12.5). Informational, not a gate: shared-host noise swamps any
+  # per-fit threshold, so the CPU ns per fit only lands in the stage detail.
+  echo "== bench: learner fit micro-benchmarks (informational) =="
+  FIT_DETAIL=""
+  if cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro_substrates > /dev/null; then
+    FIT_DETAIL=$("$BUILD_DIR"/bench/bench_micro_substrates --benchmark_filter='Fit$' \
+                   --benchmark_format=csv 2>/dev/null |
+                 awk -F, '/^"BM_/ { gsub(/"/, "", $1); sub(/^BM_/, "", $1);
+                                    printf "%s%s=%.0f", sep, $1, $4; sep=" " }')
+  fi
+  echo "bench: cpu ns/fit: ${FIT_DETAIL:-unavailable}"
+  record "bench" "$BENCH_RESULT" "cpu ns/fit: ${FIT_DETAIL:-unavailable}"
 else
   record "bench" SKIP
 fi

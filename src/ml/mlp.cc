@@ -8,14 +8,63 @@
 
 namespace mudi {
 
+namespace {
+
+constexpr size_t kH = MlpRegressor::kHiddenUnits;
+constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
+
+// Per-step Adam constants: learning rate and bias corrections 1 - beta^t.
+struct AdamStep {
+  double lr;
+  double bc1;
+  double bc2;
+};
+
+// One Adam step on N contiguous parameters whose gradients are g[k] * scale.
+// Each element sees exactly the scalar expression sequence of a textbook
+// per-weight Adam update, so vectorizing the loop cannot change a bit.
+template <size_t N>
+void AdamUpdate(double* __restrict w, double* __restrict m, double* __restrict v,
+                const double* __restrict g, double scale, const AdamStep& s) {
+  for (size_t k = 0; k < N; ++k) {
+    double grad = g[k] * scale;
+    m[k] = kBeta1 * m[k] + (1.0 - kBeta1) * grad;
+    v[k] = kBeta2 * v[k] + (1.0 - kBeta2) * grad * grad;
+    w[k] -= s.lr * (m[k] / s.bc1) / (std::sqrt(v[k] / s.bc2) + kEps);
+  }
+}
+
+// z = b1 + W1·x over the input-major hidden layer, summing each unit's
+// inputs in j order.
+void HiddenPreActivation(const double* __restrict w1t, const double* __restrict b1,
+                         const double* __restrict x, size_t d, double* __restrict z) {
+  for (size_t u = 0; u < kH; ++u) {
+    z[u] = b1[u];
+  }
+  for (size_t j = 0; j < d; ++j) {
+    const double xj = x[j];
+    const double* row = w1t + j * kH;
+    for (size_t u = 0; u < kH; ++u) {
+      z[u] += row[u] * xj;
+    }
+  }
+}
+
+}  // namespace
+
 void MlpRegressor::Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) {
   MUDI_CHECK(!x.empty());
   MUDI_CHECK_EQ(x.size(), y.size());
   scaler_.Fit(x);
-  auto xs = scaler_.TransformAll(x);
-  size_t n = xs.size();
-  size_t d = xs[0].size();
-  size_t h = options_.hidden_units;
+  const size_t n = x.size();
+  const size_t d = x[0].size();
+  // Scaled rows, row-major in one n × d buffer.
+  std::vector<double> xs;
+  xs.reserve(n * d);
+  for (const auto& row : x) {
+    auto q = scaler_.Transform(row);
+    xs.insert(xs.end(), q.begin(), q.end());
+  }
 
   y_mean_ = Mean(y);
   double sd = StdDev(y);
@@ -27,84 +76,75 @@ void MlpRegressor::Fit(const std::vector<std::vector<double>>& x, const std::vec
 
   Rng rng(options_.seed);
   double init = 1.0 / std::sqrt(static_cast<double>(d));
-  w1_.assign(h, std::vector<double>(d));
-  b1_.assign(h, 0.0);
-  w2_.assign(h, 0.0);
+  w1t_.assign(d * kH, 0.0);
+  b1_.fill(0.0);
   b2_ = 0.0;
-  for (size_t u = 0; u < h; ++u) {
+  // Draw order is unit-major (all of unit u's inputs, then its output weight).
+  for (size_t u = 0; u < kH; ++u) {
     for (size_t j = 0; j < d; ++j) {
-      w1_[u][j] = rng.Uniform(-init, init);
+      w1t_[j * kH + u] = rng.Uniform(-init, init);
     }
     w2_[u] = rng.Uniform(-init, init);
   }
 
-  // Adam state.
-  auto zeros_like_w1 = [&] { return std::vector<std::vector<double>>(h, std::vector<double>(d)); };
-  auto m_w1 = zeros_like_w1(), v_w1 = zeros_like_w1();
-  std::vector<double> m_b1(h), v_b1(h), m_w2(h), v_w2(h);
+  // Adam state, laid out like the parameters.
+  std::vector<double> m_w1(d * kH, 0.0), v_w1(d * kH, 0.0);
+  Units m_b1{}, v_b1{}, m_w2{}, v_w2{};
   double m_b2 = 0.0, v_b2 = 0.0;
-  const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
-  double lr = options_.learning_rate;
 
-  std::vector<double> hidden(h), act(h);
+  Units z{}, act{}, delta{};
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) {
     order[i] = i;
   }
 
   int step = 0;
+  // MUDI_HOT_PATH  one SGD step per (epoch, row): the cold Initialize fit
+  // runs it ~10^6 times, so the step body stays allocation-free.
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(order);
     for (size_t oi = 0; oi < n; ++oi) {
-      size_t i = order[oi];
+      const size_t i = order[oi];
+      const double* xi = xs.data() + i * d;
       // Forward.
-      for (size_t u = 0; u < h; ++u) {
-        double z = b1_[u];
-        for (size_t j = 0; j < d; ++j) {
-          z += w1_[u][j] * xs[i][j];
-        }
-        hidden[u] = z;
-        act[u] = std::tanh(z);
+      HiddenPreActivation(w1t_.data(), b1_.data(), xi, d, z.data());
+      for (size_t u = 0; u < kH; ++u) {
+        act[u] = std::tanh(z[u]);
       }
       double pred = b2_;
-      for (size_t u = 0; u < h; ++u) {
+      for (size_t u = 0; u < kH; ++u) {
         pred += w2_[u] * act[u];
       }
       double err = pred - yn[i];
 
-      // Backward (squared loss) with Adam updates.
+      // Backward (squared loss) with Adam updates. delta reads w2 before
+      // its update.
+      for (size_t u = 0; u < kH; ++u) {
+        delta[u] = err * w2_[u] * (1.0 - act[u] * act[u]);
+      }
       ++step;
-      double bc1 = 1.0 - std::pow(beta1, step);
-      double bc2 = 1.0 - std::pow(beta2, step);
-      auto adam = [&](double& w, double& m, double& v, double grad) {
-        m = beta1 * m + (1.0 - beta1) * grad;
-        v = beta2 * v + (1.0 - beta2) * grad * grad;
-        w -= lr * (m / bc1) / (std::sqrt(v / bc2) + eps);
-      };
-      adam(b2_, m_b2, v_b2, err);
-      for (size_t u = 0; u < h; ++u) {
-        double g_w2 = err * act[u];
-        double delta = err * w2_[u] * (1.0 - act[u] * act[u]);
-        adam(w2_[u], m_w2[u], v_w2[u], g_w2);
-        adam(b1_[u], m_b1[u], v_b1[u], delta);
-        for (size_t j = 0; j < d; ++j) {
-          adam(w1_[u][j], m_w1[u][j], v_w1[u][j], delta * xs[i][j]);
-        }
+      const AdamStep s{options_.learning_rate, 1.0 - std::pow(kBeta1, step),
+                       1.0 - std::pow(kBeta2, step)};
+      AdamUpdate<1>(&b2_, &m_b2, &v_b2, &err, 1.0, s);
+      AdamUpdate<kH>(w2_.data(), m_w2.data(), v_w2.data(), act.data(), err, s);
+      AdamUpdate<kH>(b1_.data(), m_b1.data(), v_b1.data(), delta.data(), 1.0, s);
+      for (size_t j = 0; j < d; ++j) {
+        AdamUpdate<kH>(w1t_.data() + j * kH, m_w1.data() + j * kH, v_w1.data() + j * kH,
+                       delta.data(), xi[j], s);
       }
     }
   }
+  // MUDI_HOT_PATH_END
 }
 
 double MlpRegressor::Predict(const std::vector<double>& x) const {
-  MUDI_CHECK(!w1_.empty());
+  MUDI_CHECK(!w1t_.empty());
   auto q = scaler_.Transform(x);
+  Units z{};
+  HiddenPreActivation(w1t_.data(), b1_.data(), q.data(), q.size(), z.data());
   double pred = b2_;
-  for (size_t u = 0; u < w1_.size(); ++u) {
-    double z = b1_[u];
-    for (size_t j = 0; j < q.size(); ++j) {
-      z += w1_[u][j] * q[j];
-    }
-    pred += w2_[u] * std::tanh(z);
+  for (size_t u = 0; u < kH; ++u) {
+    pred += w2_[u] * std::tanh(z[u]);
   }
   return pred * y_scale_ + y_mean_;
 }

@@ -8,28 +8,6 @@
 
 namespace mudi {
 
-struct RandomForestRegressor::Node {
-  // Leaf when feature < 0.
-  int feature = -1;
-  double threshold = 0.0;
-  double value = 0.0;
-  int left = -1;
-  int right = -1;
-};
-
-struct RandomForestRegressor::Tree {
-  std::vector<Node> nodes;
-
-  double Predict(const std::vector<double>& x) const {
-    int idx = 0;
-    while (nodes[static_cast<size_t>(idx)].feature >= 0) {
-      const Node& n = nodes[static_cast<size_t>(idx)];
-      idx = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left : n.right;
-    }
-    return nodes[static_cast<size_t>(idx)].value;
-  }
-};
-
 namespace {
 
 struct SplitResult {
@@ -55,12 +33,21 @@ double SubsetSse(const std::vector<double>& y, const std::vector<size_t>& idx) {
   return sse;
 }
 
+// Per-Fit buffers reused by every node's split search; they grow to the
+// bootstrap size once and are never reallocated after that.
+struct SplitScratch {
+  std::vector<std::pair<double, double>> col;  // (feature value, target)
+  std::vector<double> prefix_sum;
+  std::vector<double> prefix_sq;
+};
+
 SplitResult FindBestSplit(const std::vector<std::vector<double>>& x, const std::vector<double>& y,
                           const std::vector<size_t>& idx, const std::vector<int>& features,
-                          size_t min_samples_leaf) {
+                          size_t min_samples_leaf, SplitScratch* scratch) {
   SplitResult best;
-  std::vector<std::pair<double, double>> col;  // (feature value, target)
-  col.reserve(idx.size());
+  auto& col = scratch->col;
+  auto& prefix_sum = scratch->prefix_sum;
+  auto& prefix_sq = scratch->prefix_sq;
   for (int f : features) {
     col.clear();
     for (size_t i : idx) {
@@ -69,7 +56,10 @@ SplitResult FindBestSplit(const std::vector<std::vector<double>>& x, const std::
     std::sort(col.begin(), col.end());
     // Prefix sums enable O(n) evaluation of every split position.
     size_t n = col.size();
-    std::vector<double> prefix_sum(n + 1, 0.0), prefix_sq(n + 1, 0.0);
+    prefix_sum.resize(n + 1);
+    prefix_sq.resize(n + 1);
+    prefix_sum[0] = 0.0;
+    prefix_sq[0] = 0.0;
     for (size_t i = 0; i < n; ++i) {
       prefix_sum[i + 1] = prefix_sum[i] + col[i].second;
       prefix_sq[i + 1] = prefix_sq[i] + col[i].second * col[i].second;
@@ -104,23 +94,24 @@ RandomForestRegressor::RandomForestRegressor(RandomForestOptions options)
   MUDI_CHECK_LE(options_.feature_fraction, 1.0);
 }
 
-RandomForestRegressor::~RandomForestRegressor() = default;
-
 void RandomForestRegressor::Fit(const std::vector<std::vector<double>>& x,
                                 const std::vector<double>& y) {
   MUDI_CHECK(!x.empty());
   MUDI_CHECK_EQ(x.size(), y.size());
   size_t d = x[0].size();
   Rng rng(options_.seed);
-  trees_.clear();
-  trees_.reserve(options_.num_trees);
+  nodes_.clear();
+  roots_.clear();
 
   size_t features_per_split =
       std::max<size_t>(1, static_cast<size_t>(std::ceil(options_.feature_fraction *
                                                         static_cast<double>(d))));
+  SplitScratch scratch;
+  scratch.col.reserve(x.size());
+  std::vector<int> split_features;
+  split_features.reserve(d);
 
   for (size_t t = 0; t < options_.num_trees; ++t) {
-    auto tree = std::make_unique<Tree>();
     // Bootstrap sample.
     std::vector<size_t> root_idx(x.size());
     for (size_t i = 0; i < x.size(); ++i) {
@@ -134,12 +125,14 @@ void RandomForestRegressor::Fit(const std::vector<std::vector<double>>& x,
       int node_slot;
     };
     std::vector<WorkItem> stack;
-    tree->nodes.emplace_back();
-    stack.push_back({std::move(root_idx), 0, 0});
+    const int root = static_cast<int>(nodes_.size());
+    roots_.push_back(root);
+    nodes_.emplace_back();
+    stack.push_back({std::move(root_idx), 0, root});
     while (!stack.empty()) {
       WorkItem item = std::move(stack.back());
       stack.pop_back();
-      Node& node = tree->nodes[static_cast<size_t>(item.node_slot)];
+      Node& node = nodes_[static_cast<size_t>(item.node_slot)];
       node.value = SubsetMean(y, item.idx);
       bool should_split = item.depth < options_.max_depth &&
                           item.idx.size() >= 2 * options_.min_samples_leaf &&
@@ -147,16 +140,16 @@ void RandomForestRegressor::Fit(const std::vector<std::vector<double>>& x,
       if (!should_split) {
         continue;
       }
-      // Random feature subset for this split.
-      std::vector<int> all_features(d);
+      // Random feature subset for this split: shuffle all d, keep a prefix.
+      split_features.resize(d);
       for (size_t j = 0; j < d; ++j) {
-        all_features[j] = static_cast<int>(j);
+        split_features[j] = static_cast<int>(j);
       }
-      rng.Shuffle(all_features);
-      all_features.resize(features_per_split);
+      rng.Shuffle(split_features);
+      split_features.resize(features_per_split);
 
-      SplitResult split =
-          FindBestSplit(x, y, item.idx, all_features, options_.min_samples_leaf);
+      SplitResult split = FindBestSplit(x, y, item.idx, split_features,
+                                        options_.min_samples_leaf, &scratch);
       if (split.feature < 0) {
         continue;
       }
@@ -172,12 +165,12 @@ void RandomForestRegressor::Fit(const std::vector<std::vector<double>>& x,
           right_idx.size() < options_.min_samples_leaf) {
         continue;
       }
-      int left_slot = static_cast<int>(tree->nodes.size());
-      tree->nodes.emplace_back();
-      int right_slot = static_cast<int>(tree->nodes.size());
-      tree->nodes.emplace_back();
+      int left_slot = static_cast<int>(nodes_.size());
+      nodes_.emplace_back();
+      int right_slot = static_cast<int>(nodes_.size());
+      nodes_.emplace_back();
       // `node` reference may be invalidated by the emplace_backs above.
-      Node& fresh = tree->nodes[static_cast<size_t>(item.node_slot)];
+      Node& fresh = nodes_[static_cast<size_t>(item.node_slot)];
       fresh.feature = split.feature;
       fresh.threshold = split.threshold;
       fresh.left = left_slot;
@@ -185,17 +178,22 @@ void RandomForestRegressor::Fit(const std::vector<std::vector<double>>& x,
       stack.push_back({std::move(left_idx), item.depth + 1, left_slot});
       stack.push_back({std::move(right_idx), item.depth + 1, right_slot});
     }
-    trees_.push_back(std::move(tree));
   }
 }
 
 double RandomForestRegressor::Predict(const std::vector<double>& x) const {
-  MUDI_CHECK(!trees_.empty());
+  MUDI_CHECK(!roots_.empty());
   double sum = 0.0;
-  for (const auto& tree : trees_) {
-    sum += tree->Predict(x);
+  for (int root : roots_) {
+    const Node* n = &nodes_[static_cast<size_t>(root)];
+    while (n->feature >= 0) {
+      n = &nodes_[static_cast<size_t>(x[static_cast<size_t>(n->feature)] <= n->threshold
+                                          ? n->left
+                                          : n->right)];
+    }
+    sum += n->value;
   }
-  return sum / static_cast<double>(trees_.size());
+  return sum / static_cast<double>(roots_.size());
 }
 
 }  // namespace mudi

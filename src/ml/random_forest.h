@@ -5,7 +5,6 @@
 #define SRC_ML_RANDOM_FOREST_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,18 +25,26 @@ struct RandomForestOptions {
 class RandomForestRegressor : public Regressor {
  public:
   explicit RandomForestRegressor(RandomForestOptions options = {});
-  ~RandomForestRegressor() override;
 
   void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) override;
   double Predict(const std::vector<double>& x) const override;
   std::string name() const override { return "RF"; }
 
  private:
-  struct Node;
-  struct Tree;
+  struct Node {
+    // Leaf when feature < 0.
+    int feature = -1;
+    double threshold = 0.0;
+    double value = 0.0;
+    int left = -1;  // child indices into nodes_
+    int right = -1;
+  };
 
   RandomForestOptions options_;
-  std::vector<std::unique_ptr<Tree>> trees_;
+  // Every tree's nodes in one array, tree t rooted at roots_[t], so Predict
+  // walks one contiguous block however the heap was laid out during Fit.
+  std::vector<Node> nodes_;
+  std::vector<int> roots_;
 };
 
 }  // namespace mudi

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -165,6 +167,46 @@ TEST(MlpRegressorTest, HandlesScaledTargets) {
   MlpRegressor model;
   model.Fit(x, y);
   EXPECT_LT(TestError(model, f, 93), 30.0);
+}
+
+// Pins the exact bits of the fit path at the Interference Modeler's shape
+// (24 rows of 12 features, 300 epochs). The determinism tests compare a build
+// with itself; this one fails if any kernel's floating-point arithmetic is
+// reordered, so the constants change only with a deliberate model change.
+// They were captured on x86-64 with glibc's libm (tanh, pow, exp, sin).
+TEST(MlpRegressorTest, FitIsBitStable) {
+  Rng rng(41);
+  std::vector<std::vector<double>> x(24, std::vector<double>(12));
+  std::vector<double> y(24);
+  for (size_t i = 0; i < x.size(); ++i) {
+    for (double& v : x[i]) {
+      v = rng.Uniform(0.0, 4.0);
+    }
+    y[i] = 50.0 + 3.0 * x[i][0] - 2.0 * x[i][5] * x[i][7] + std::sin(x[i][11]) +
+           rng.Normal(0.0, 0.5);
+  }
+
+  MlpOptions options;
+  options.epochs = 300;
+  MlpRegressor mlp(options);
+  mlp.Fit(x, y);
+  const size_t kRows[3] = {0, 11, 23};
+  const uint64_t kPredictBits[3] = {0x404a7810f1526cef, 0x40423e198045171c,
+                                    0x404c6c7f47877516};
+  for (size_t k = 0; k < 3; ++k) {
+    uint64_t bits = std::bit_cast<uint64_t>(mlp.Predict(x[kRows[k]]));
+    EXPECT_EQ(bits, kPredictBits[k]) << "row " << kRows[k] << " bits 0x" << std::hex << bits;
+  }
+
+  // RF, SVR, kNN, Linear, MLP.
+  const uint64_t kCvBits[5] = {0x3fbb28dc487a6049, 0x3fc9a035e9627397, 0x3fc1259343b463ca,
+                               0x3fae7f48c47abd65, 0x3fb47d5c16c4448e};
+  auto zoo = DefaultRegressorZoo();
+  ASSERT_EQ(zoo.size(), 5u);
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    uint64_t bits = std::bit_cast<uint64_t>(KFoldRelativeError(zoo[f], x, y, 5));
+    EXPECT_EQ(bits, kCvBits[f]) << zoo[f]()->name() << " bits 0x" << std::hex << bits;
+  }
 }
 
 // Parameterized: every zoo regressor fits a simple linear map acceptably.
