@@ -57,10 +57,7 @@ void BM_PlacementDecision(benchmark::State& state) {
   static ClusterExperiment* experiment = new ClusterExperiment(options, policy);
   policy->Initialize(*experiment);
 
-  TrainingTaskInfo info;
-  info.task_id = 1;
-  info.type_index = state.range(0) % 9;
-  info.spec = &ModelZoo::TrainingTasks()[info.type_index];
+  TrainingTaskInfo info = MakeTaskInfo(1, static_cast<size_t>(state.range(0) % 9));
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy->SelectDevice(*experiment, info));
   }

@@ -22,10 +22,15 @@
 #            preset, then schema-validate the JSON it emitted, then the
 #            repo benchmark's self-test (python3 mudibench/run.py
 #            --selftest: builds mudibench/ against src/ and checks that its
-#            decorated, plain and repeated runs give one result digest).
+#            decorated, plain and repeated runs give one result digest), then
+#            the cross-version digest pin: the untraced
+#            .bench_build/mudibench/mudibench --workload fleet|coldstart|chaos
+#            --seed 7 must reproduce the digests in PINNED_DIGESTS below (a
+#            change that alters any simulated outcome fails here, and a
+#            deliberate outcome change re-pins the table).
 #            Opt-in via --bench. Fails on a non-zero bench exit, a missing
-#            artifact, a malformed/incomplete document or a failed
-#            self-test. It also runs the learner-fit micro-benchmarks
+#            artifact, a malformed/incomplete document, a failed self-test
+#            or a digest that differs from its pin. It also runs the learner-fit micro-benchmarks
 #            (bench_micro_substrates --benchmark_filter='Fit$') and prints
 #            CPU ns per fit in the stage detail, without gating on them.
 #            When the committed
@@ -110,7 +115,7 @@ while [ $# -gt 0 ]; do
       RUN_REPLAY=1
       ;;
     -h|--help)
-      sed -n '2,62p' "$0"
+      sed -n '2,67p' "$0"
       exit 0
       ;;
     -*)
@@ -322,6 +327,24 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     echo "bench: mudibench self-test failed"
     BENCH_RESULT=FAIL
   fi
+  # The self-test compares one build with itself; these pins compare it with
+  # every earlier version whose simulated outcomes it must reproduce.
+  echo "== bench: mudibench seed-7 digests vs pinned values =="
+  declare -A PINNED_DIGESTS=(
+    [fleet]=ad8817b952d970b1
+    [coldstart]=b866fcc185dfddd7
+    [chaos]=f56f7510d595c645
+  )
+  for workload in fleet coldstart chaos; do
+    DIGEST=$(MUDI_FIT_THREADS=1 .bench_build/mudibench/mudibench --workload "$workload" \
+               --seed 7 | sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
+    if [ "$DIGEST" = "${PINNED_DIGESTS[$workload]}" ]; then
+      echo "bench: $workload digest $DIGEST matches its pin"
+    else
+      echo "bench: $workload digest ${DIGEST:-missing} != pinned ${PINNED_DIGESTS[$workload]}"
+      BENCH_RESULT=FAIL
+    fi
+  done
   # Regression gate against the committed perf-trajectory baseline. The
   # committed artifact was produced at full scale, so the gate re-runs the
   # smoke preset at full scale too (it is tiny — well under a minute) for an

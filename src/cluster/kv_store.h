@@ -101,7 +101,6 @@ class KvStore {
   // recovery code can observe deregistration instead of polling. Off by
   // default; existing runs are byte-identical with the flag off.
   void EnableDeleteEvents(bool enabled) { delete_events_ = enabled; }
-  bool delete_events() const { return delete_events_; }
 
   // Switches watch delivery to seeded asynchronous simulator events per
   // `options` and starts recording revision history for stale reads.

@@ -49,7 +49,6 @@ class QpsMonitor {
   // Weighted P99 latency over the trailing cohort window; 0 with no samples.
   double P99LatencyMs() const;
   bool has_latency_samples() const { return !latencies_.empty(); }
-  void ClearLatencyWindow() { latencies_.clear(); }
 
   // --- feedback loss (fault injection) ---
   // While feedback is lost the monitor stops ingesting samples and freezes

@@ -58,6 +58,11 @@ struct TrainingTaskInfo {
   const TrainingTaskSpec* spec = nullptr;
 };
 
+// The info for task `task_id` of training type `type_index`.
+inline TrainingTaskInfo MakeTaskInfo(int task_id, size_t type_index) {
+  return TrainingTaskInfo{task_id, type_index, &ModelZoo::TrainingTasks()[type_index]};
+}
+
 class SchedulingEnv {
  public:
   virtual ~SchedulingEnv() = default;

@@ -140,10 +140,4 @@ void MemoryManager::RecordSwap(const SwapRecord& record) {
                          telemetry::TraceArg::Num("transfer_ms", record.transfer_ms)});
 }
 
-double MemoryManager::SwapSlowdownFactor(const TrainingInstance& training) {
-  // The model itself lives in src/gpu so the decision-trace replay
-  // environments can apply it without a src/core dependency.
-  return ::mudi::SwapSlowdownFactor(training);
-}
-
 }  // namespace mudi

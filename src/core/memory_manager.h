@@ -51,10 +51,6 @@ class MemoryManager {
   // operations performed; the caller charges it to the affected tasks.
   double Rebalance(GpuDevice& device, TimeMs now);
 
-  // Iteration-time slowdown factor (>= 1) for a training instance given its
-  // current swap state: paged access over UM stalls compute.
-  static double SwapSlowdownFactor(const TrainingInstance& training);
-
   // Drops all manager state for `task_id` on `device`: host-swapped pages are
   // reclaimed and a PCIe transfer still in flight for the task (one issued at
   // time t completes at t + transfer_ms) is aborted and counted. Call when a

@@ -1,93 +1,71 @@
 #include "src/exp/cluster_experiment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/wallclock.h"
 #include "src/replay/decision_recorder.h"
-#include "src/replay/probe_key.h"
-#include "src/replay/replay_source.h"
 
 namespace mudi {
 namespace {
 
-constexpr double kDefaultReplicaQps = 200.0;  // mean inter-arrival 5 ms (§7.1)
-constexpr double kInitialInferenceFraction = 0.5;
-constexpr int kInitialBatch = 64;
-// Queue cap as a multiple of the batching size: beyond it, oldest requests
-// are shed and counted as worst-case latency (overload).
-constexpr double kQueueCapBatches = 50.0;
-
-double WeightedP99(const std::vector<std::pair<double, double>>& samples) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::vector<std::pair<double, double>> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    total += w;
-  }
-  double target = 0.99 * total;
-  double cum = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    cum += w;
-    if (cum >= target) {
-      return lat;
-    }
-  }
-  return sorted.back().first;
+std::string DeviceTaskKey(int device_id, int task_id) {
+  return "/devices/" + std::to_string(device_id) + "/tasks/" + std::to_string(task_id);
 }
 
-// RAII decision scope around one policy hook: opens the recorder's decision,
-// snapshots the state the policy can observe (all devices for cluster-wide
-// hooks, just the target for per-device ones), and measures the hook's wall
-// latency. A null recorder makes the whole scope a no-op — the timer is not
-// even started, so an unrecorded run never reads the clock here.
-class DecisionScope {
- public:
-  enum class Snapshot { kNone, kDevice, kAll };
+}  // namespace
 
-  DecisionScope(replay::DecisionRecorder* recorder, ClusterState& cluster,
-                replay::HookKind hook, double sim_ms, Snapshot snapshot, int device_id = -1,
-                int task_id = -1, int type_index = -1)
-      : recorder_(recorder) {
-    if (recorder_ == nullptr) {
+// RAII scope around one policy hook. It opens the recorder's decision with a
+// snapshot of the state the policy can observe — every device for the
+// cluster-wide Initialize and SelectDevice, the target for a per-device hook,
+// none for OnControlPlaneRestart — then times the hook once for both the
+// decision's recorded latency and the hook's `policy.*` perf region. With
+// neither a recorder nor a region the scope never reads the clock.
+class ClusterExperiment::HookScope {
+ public:
+  HookScope(ClusterExperiment& exp, replay::HookKind hook, int device_id = -1, int task_id = -1,
+            int type_index = -1)
+      : recorder_(exp.options_.recorder), stat_(exp.hook_stats_[static_cast<size_t>(hook)]) {
+    if (recorder_ != nullptr) {
+      recorder_->BeginDecision(hook, exp.sim_.Now(), device_id, task_id, type_index);
+      if (hook == replay::HookKind::kInitialize || hook == replay::HookKind::kSelectDevice) {
+        for (const GpuDevice& dev : exp.cluster_.devices()) {
+          recorder_->AddSnapshotDevice(replay::MakeSnapshotDevice(dev));
+        }
+      } else if (device_id >= 0) {
+        recorder_->AddSnapshotDevice(replay::MakeSnapshotDevice(exp.device(device_id)));
+      }
+    }
+    if (recorder_ != nullptr || stat_ != nullptr) {
+      timer_.Restart();
+    }
+  }
+
+  ~HookScope() {
+    if (recorder_ == nullptr && stat_ == nullptr) {
       return;
     }
-    recorder_->BeginDecision(hook, sim_ms, device_id, task_id, type_index);
-    if (snapshot == Snapshot::kAll) {
-      for (const GpuDevice& dev : cluster.devices()) {
-        recorder_->AddSnapshotDevice(replay::MakeSnapshotDevice(dev));
-      }
-    } else if (snapshot == Snapshot::kDevice) {
-      recorder_->AddSnapshotDevice(
-          replay::MakeSnapshotDevice(cluster.device(static_cast<size_t>(device_id))));
+    double ms = timer_.ElapsedMs();
+    if (stat_ != nullptr) {
+      stat_->Record(ms);
     }
-    timer_.Restart();
-  }
-
-  ~DecisionScope() {
     if (recorder_ != nullptr) {
-      recorder_->EndDecision(timer_.ElapsedMs() * 1000.0);
+      recorder_->EndDecision(ms * 1000.0);
     }
   }
 
-  DecisionScope(const DecisionScope&) = delete;
-  DecisionScope& operator=(const DecisionScope&) = delete;
+  HookScope(const HookScope&) = delete;
+  HookScope& operator=(const HookScope&) = delete;
 
   replay::DecisionRecorder* recorder() { return recorder_; }
 
  private:
   replay::DecisionRecorder* recorder_;
+  perf::LatencyStat* stat_;
   WallTimer timer_{WallTimer::Unstarted{}};
 };
-
-}  // namespace
 
 ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy* policy)
     : options_(std::move(options)),
@@ -101,49 +79,29 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
       cluster_(options_.num_nodes, NodeSpec{options_.gpus_per_node, ModelZoo::kGpuMemoryMb}),
       rng_(options_.seed),
       probe_rng_(options_.seed ^ 0xABCDEFull),
-      queue_(options_.queue_policy) {
+      prober_(oracle_, probe_rng_, options_.replay, options_.recorder),
+      queue_(options_.queue_policy),
+      fault_injector_(std::make_unique<FaultInjector>(
+          &sim_, this, static_cast<int>(cluster_.num_devices()), options_.num_nodes,
+          &telemetry_)),
+      serving_(options_, sim_, cluster_, oracle_, rng_, telemetry_, *this),
+      last_retune_ms_(cluster_.num_devices(), 0.0) {
   MUDI_CHECK(policy_ != nullptr);
-  MUDI_CHECK_GT(options_.num_services, 0u);
-  MUDI_CHECK_LE(options_.num_services, ModelZoo::InferenceServices().size());
   MUDI_CHECK_GT(options_.checkpoint_period_ms, 0.0);
-  fault_injector_ = std::make_unique<FaultInjector>(&sim_, this,
-                                                    static_cast<int>(cluster_.num_devices()),
-                                                    options_.num_nodes, &telemetry_);
-  // Opt-in tombstone delete events (forced on later if a control fault plan
-  // arms): must be set before the first Put so revision numbering is
-  // consistent for the whole run.
-  if (options_.registry_delete_events) {
-    registry_.EnableDeleteEvents(true);
-  }
-
-  // Place one inference replica per device, service round-robin.
-  replicas_.resize(cluster_.num_devices());
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    size_t service_index = (d % options_.num_services + options_.service_offset) %
-                           ModelZoo::InferenceServices().size();
-    const InferenceServiceSpec& spec = ModelZoo::InferenceServices()[service_index];
-    InferenceInstance instance;
-    instance.service_index = service_index;
-    instance.batch_size = kInitialBatch;
-    instance.gpu_fraction = kInitialInferenceFraction;
-    instance.mem_required_mb = InferenceMemoryMb(spec, kInitialBatch);
-    cluster_.device(d).PlaceInference(instance);
-
-    Replica& r = replicas_[d];
-    if (options_.qps_factory) {
-      r.qps = options_.qps_factory(service_index, static_cast<int>(d));
-    } else {
-      r.qps = std::make_shared<ConstantQps>(kDefaultReplicaQps);
-    }
     registry_.Put(DeviceStatusKey(static_cast<int>(d)), "up");
   }
 
-  // Self-profiling wiring: resolve the per-decision region stats once; a
-  // null collector leaves the cached pointers null and every region a no-op.
+  // Self-profiling wiring: resolve the profiled hooks' region stats once; a
+  // null collector leaves every stat null and its region a no-op.
   if (perf::PerfCollector* collector = perf()) {
-    perf_select_stat_ = &collector->GetRegionStat("policy.select_device");
-    perf_place_stat_ = &collector->GetRegionStat("policy.on_placed");
-    perf_qps_stat_ = &collector->GetRegionStat("policy.on_qps_change");
+    using replay::HookKind;
+    for (auto [hook, name] : {std::pair{HookKind::kInitialize, "policy.initialize"},
+                              std::pair{HookKind::kSelectDevice, "policy.select_device"},
+                              std::pair{HookKind::kOnTrainingPlaced, "policy.on_placed"},
+                              std::pair{HookKind::kOnQpsChange, "policy.on_qps_change"}}) {
+      hook_stats_[static_cast<size_t>(hook)] = &collector->GetRegionStat(name);
+    }
   }
 
   // Telemetry wiring: every instrumented component checks enabled() itself
@@ -154,7 +112,6 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
   memory_manager_.SetTelemetry(&telemetry_);
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
     cluster_.device(d).SetTelemetry(&telemetry_);
-    replicas_[d].monitor.SetTelemetry(&telemetry_, static_cast<int>(d));
   }
   if (telemetry_.tracing_enabled()) {
     telemetry_.trace().SetProcessName("mudi-cluster-experiment");
@@ -182,149 +139,32 @@ const InferenceServiceSpec& ClusterExperiment::ServiceOnDevice(int device_id) co
   return ModelZoo::InferenceServices()[dev.inference().service_index];
 }
 
+// Policy-facing monitor reads made inside a decision are part of the
+// decision's observation set (harness-internal reads go straight to the
+// monitor and are not recorded).
 double ClusterExperiment::MeasuredQps(int device_id) {
-  double qps = replicas_[static_cast<size_t>(device_id)].monitor.CurrentQps(sim_.Now());
-  // Policy-facing monitor reads made inside a decision are part of the
-  // decision's observation set (harness-internal reads go straight to the
-  // monitor and are not recorded).
-  if (options_.recorder != nullptr && options_.recorder->decision_open()) {
-    options_.recorder->RecordQpsFeedback(sim_.Now(), device_id, /*is_p99=*/false, qps);
-  }
-  return qps;
+  return replay::RecordFeedbackRead(options_.recorder, sim_.Now(), device_id, /*is_p99=*/false,
+                                    serving_.monitor(device_id).CurrentQps(sim_.Now()));
 }
 
 double ClusterExperiment::MeasuredP99(int device_id) {
-  double p99 = replicas_[static_cast<size_t>(device_id)].monitor.P99LatencyMs();
-  if (options_.recorder != nullptr && options_.recorder->decision_open()) {
-    options_.recorder->RecordQpsFeedback(sim_.Now(), device_id, /*is_p99=*/true, p99);
-  }
-  return p99;
-}
-
-std::vector<ColocatedTraining> ClusterExperiment::ActiveColocation(const GpuDevice& dev) const {
-  const auto& tasks = ModelZoo::TrainingTasks();
-  std::vector<ColocatedTraining> out;
-  for (const auto& t : dev.trainings()) {
-    if (!t.paused) {
-      out.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  return out;
-}
-
-InferenceLoad ClusterExperiment::CurrentInferenceLoad(int device_id) {
-  const GpuDevice& dev = device(device_id);
-  InferenceLoad load;
-  load.spec = &ServiceOnDevice(device_id);
-  load.batch_size = dev.inference().batch_size;
-  load.gpu_fraction = dev.inference().gpu_fraction;
-  // Direct monitor read, NOT MeasuredQps: this is harness-internal plumbing
-  // for probe construction, and the decision trace must only carry the
-  // policy's own feedback reads (every probe already embeds the QPS in its
-  // content key).
-  load.qps = replicas_[static_cast<size_t>(device_id)].monitor.CurrentQps(sim_.Now());
-  return load;
+  return replay::RecordFeedbackRead(options_.recorder, sim_.Now(), device_id, /*is_p99=*/true,
+                                    serving_.monitor(device_id).P99LatencyMs());
 }
 
 double ClusterExperiment::ProbeInferenceLatencyMs(int device_id, int batch,
                                                   double gpu_fraction) {
-  const GpuDevice& dev = device(device_id);
-  uint64_t key = 0;
-  if (options_.recorder != nullptr || options_.replay != nullptr) {
-    replay::ColocationMix mix;
-    mix.reserve(dev.trainings().size());
-    for (const auto& t : dev.trainings()) {
-      if (!t.paused) {
-        mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      }
-    }
-    key = replay::InferenceProbeKey(static_cast<uint32_t>(dev.inference().service_index), batch,
-                                    gpu_fraction, mix, dev.EffectiveComputeScale());
-    if (options_.replay != nullptr) {
-      if (auto recorded = options_.replay->TakeObservation(key)) {
-        // Served from the trace: the oracle and probe_rng_ are untouched, so
-        // the replayed noise stream stays aligned with the recorded run.
-        return *recorded;
-      }
-    }
-  }
-  auto colocated = ActiveColocation(dev);
-  double lat = oracle_
-                   .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), batch, gpu_fraction,
-                                                 colocated, probe_rng_)
-                   .total_ms();
-  lat /= dev.EffectiveComputeScale();
-  if (options_.recorder != nullptr) {
-    options_.recorder->RecordObservation(replay::ObsKind::kProbeInference, sim_.Now(), device_id,
-                                         key, lat);
-  }
-  return lat;
+  return prober_.Inference(device(device_id), batch, gpu_fraction, sim_.Now());
 }
 
 double ClusterExperiment::ProbeTrainingIterMs(int device_id, int task_id, double train_fraction,
                                               int inf_batch, double inf_fraction) {
-  const GpuDevice& dev = device(device_id);
-  const TrainingInstance* instance = dev.FindTraining(task_id);
-  MUDI_CHECK(instance != nullptr);
-  const auto& tasks = ModelZoo::TrainingTasks();
-  const TrainingTaskSpec& spec = tasks[instance->type_index];
-
-  InferenceLoad load = CurrentInferenceLoad(device_id);
-  if (inf_batch > 0) {
-    load.batch_size = inf_batch;
-  }
-  if (inf_fraction > 0.0) {
-    load.gpu_fraction = inf_fraction;
-  }
-  std::vector<ColocatedTraining> others;
-  for (const auto& t : dev.trainings()) {
-    if (!t.paused && t.task_id != task_id) {
-      others.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  double frac = train_fraction > 0.0 ? train_fraction : instance->gpu_fraction;
-  double clamped = std::clamp(frac, 0.02, 1.0);
-  // The what-if must anticipate the memory pressure of the probed inference
-  // batch: a larger batch can force this task's working set to swap, and the
-  // Training Agent would observe those slower (paged) iterations.
-  TrainingInstance hypothetical = *instance;
-  if (inf_batch > 0) {
-    double inf_mem = InferenceMemoryMb(*load.spec, inf_batch);
-    double required = inf_mem;
-    for (const auto& t : dev.trainings()) {
-      required += t.mem_required_mb;
-    }
-    double deficit = std::max(0.0, required - dev.memory_mb());
-    hypothetical.mem_swapped_mb = std::min(deficit, 0.85 * instance->mem_required_mb);
-  }
-  double swap_factor = MemoryManager::SwapSlowdownFactor(hypothetical);
-
-  uint64_t key = 0;
-  if (options_.recorder != nullptr || options_.replay != nullptr) {
-    replay::ColocationMix others_mix;
-    others_mix.reserve(others.size());
-    for (const auto& t : dev.trainings()) {
-      if (!t.paused && t.task_id != task_id) {
-        others_mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      }
-    }
-    key = replay::TrainingProbeKey(
-        static_cast<uint32_t>(instance->type_index), clamped,
-        static_cast<uint32_t>(dev.inference().service_index), load.batch_size, load.gpu_fraction,
-        load.qps, others_mix, swap_factor, dev.EffectiveComputeScale());
-    if (options_.replay != nullptr) {
-      if (auto recorded = options_.replay->TakeObservation(key)) {
-        return *recorded;
-      }
-    }
-  }
-  double iter = oracle_.ObserveTrainingIterationMs(spec, clamped, load, others, probe_rng_);
-  double result = iter * swap_factor / dev.EffectiveComputeScale();
-  if (options_.recorder != nullptr) {
-    options_.recorder->RecordObservation(replay::ObsKind::kProbeTraining, sim_.Now(), device_id,
-                                         key, result);
-  }
-  return result;
+  // Direct monitor read, NOT MeasuredQps: this is harness-internal plumbing,
+  // and the decision trace must only carry the policy's own feedback reads
+  // (every training probe already embeds the QPS in its content key).
+  double qps = serving_.monitor(device_id).CurrentQps(sim_.Now());
+  return prober_.Training(device(device_id), task_id, train_fraction, inf_batch, inf_fraction,
+                          qps, sim_.Now());
 }
 
 void ClusterExperiment::ApplyInferenceConfig(int device_id, int batch, double gpu_fraction) {
@@ -334,96 +174,23 @@ void ClusterExperiment::ApplyInferenceConfig(int device_id, int batch, double gp
   // Record the policy's intent at the actuation boundary (before the
   // control-plane/no-op branches): the trace captures what was decided, not
   // what the (possibly degraded) delivery path made of it.
-  if (options_.recorder != nullptr && options_.recorder->decision_open()) {
-    options_.recorder->AddAction(replay::ActionKind::kApplyInferenceConfig, device_id, batch,
-                                 gpu_fraction);
+  replay::RecordActionTaken(options_.recorder, replay::ActionKind::kApplyInferenceConfig,
+                            device_id, batch, gpu_fraction);
+  if (ctrl_ != nullptr) {
+    ctrl_->Publish(device_id, batch, gpu_fraction);
+  } else {
+    serving_.Reconfigure(device_id, batch, gpu_fraction);
   }
-  if (!ctrl_enabled_) {
-    ApplyInferenceConfigDirect(device_id, batch, gpu_fraction);
-    return;
-  }
-  // Control-plane delivery (DESIGN.md §13): the scheduler publishes the
-  // tuned config to the registry; the device agent's watch applies it when
-  // (and if) the notification arrives. Under degradation the update can be
-  // delayed, dropped, or lost to a partition — the periodic retune rewrites
-  // the key, bounding how long a lost config stays lost.
-  ++configs_published_;
-  // The publication sequence number lets the device agent deduplicate
-  // deliveries that arrive both through its watch and a catch-up read.
-  char encoded[96];
-  std::snprintf(encoded, sizeof(encoded), "%llu|%d|%.17g",
-                static_cast<unsigned long long>(configs_published_), batch, gpu_fraction);
-  registry_.Put(SchedConfigKey(device_id), encoded);
 }
 
-void ClusterExperiment::ApplyInferenceConfigDirect(int device_id, int batch,
-                                                   double gpu_fraction) {
-  GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
-  if (!dev.healthy()) {
-    return;  // dead replica: nothing to configure (degrade gracefully)
-  }
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-  InferenceInstance& inf = dev.mutable_inference();
-
-  // Batch updates are a serving-loop parameter: immediate (§5.3.1).
-  inf.batch_size = batch;
-  inf.mem_required_mb = InferenceMemoryMb(ServiceOnDevice(device_id), batch);
-  RebalanceMemory(device_id);
-
-  double delta = std::abs(gpu_fraction - inf.gpu_fraction);
-  if (delta < 1e-6) {
-    UpdateTrainingSpeeds(device_id);
-    return;
-  }
-  // GPU% updates ride the shadow instance: effective after the
-  // reconfiguration latency. A request matching the in-flight shadow keeps
-  // it (otherwise periodic retunes with the same target would restart the
-  // shadow forever and the config would never land); a different target
-  // supersedes it.
-  if (r.pending_config.has_value() && r.pending_config->first == batch &&
-      std::abs(r.pending_config->second - gpu_fraction) < 1e-6) {
-    UpdateTrainingSpeeds(device_id);
-    return;
-  }
-  if (r.pending_event != Simulator::kInvalidEventId) {
-    sim_.Cancel(r.pending_event);
-    r.pending_event = Simulator::kInvalidEventId;
-  }
-  r.pending_config = {batch, gpu_fraction};
-  if (telemetry_.enabled()) {
-    telemetry_.metrics().GetCounter("serving.reconfigs").Increment();
-    MUDI_TRACE_INSTANT(&telemetry_, "config", "reconfig_start", device_id, sim_.Now(),
-                       telemetry::TraceArgs{
-                           telemetry::TraceArg::Num("batch", batch),
-                           telemetry::TraceArg::Num("fraction", gpu_fraction)});
-  }
-  r.pending_event = sim_.ScheduleAfter(options_.reconfig_latency_ms, [this, device_id] {
-    Replica& rep = replicas_[static_cast<size_t>(device_id)];
-    if (!rep.pending_config.has_value()) {
-      return;
-    }
-    auto [b, g] = *rep.pending_config;
-    rep.pending_config.reset();
-    rep.pending_event = Simulator::kInvalidEventId;
-    GpuDevice& d = cluster_.device(static_cast<size_t>(device_id));
-    d.mutable_inference().batch_size = b;
-    d.mutable_inference().gpu_fraction = g;
-    d.mutable_inference().mem_required_mb = InferenceMemoryMb(ServiceOnDevice(device_id), b);
-    MUDI_TRACE_INSTANT(&telemetry_, "config", "reconfig_done", device_id, sim_.Now(),
-                       telemetry::TraceArgs{telemetry::TraceArg::Num("batch", b),
-                                            telemetry::TraceArg::Num("fraction", g)});
-    RebalanceMemory(device_id);
-    UpdateTrainingSpeeds(device_id);
-  });
-  UpdateTrainingSpeeds(device_id);
+void ClusterExperiment::ApplyDeliveredConfig(int device_id, int batch, double gpu_fraction) {
+  serving_.Reconfigure(device_id, batch, gpu_fraction);
 }
 
 void ClusterExperiment::ApplyTrainingFraction(int device_id, int task_id, double fraction) {
   MUDI_CHECK_GT(fraction, 0.0);
-  if (options_.recorder != nullptr && options_.recorder->decision_open()) {
-    options_.recorder->AddAction(replay::ActionKind::kApplyTrainingFraction, device_id, task_id,
-                                 fraction);
-  }
+  replay::RecordActionTaken(options_.recorder, replay::ActionKind::kApplyTrainingFraction,
+                            device_id, task_id, fraction);
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   if (!dev.healthy()) {
     return;
@@ -436,10 +203,8 @@ void ClusterExperiment::ApplyTrainingFraction(int device_id, int task_id, double
 }
 
 void ClusterExperiment::SetTrainingPaused(int device_id, int task_id, bool paused) {
-  if (options_.recorder != nullptr && options_.recorder->decision_open()) {
-    options_.recorder->AddAction(replay::ActionKind::kSetTrainingPaused, device_id, task_id,
-                                 paused ? 1.0 : 0.0);
-  }
+  replay::RecordActionTaken(options_.recorder, replay::ActionKind::kSetTrainingPaused,
+                            device_id, task_id, paused ? 1.0 : 0.0);
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   if (!dev.healthy()) {
     return;
@@ -463,8 +228,7 @@ void ClusterExperiment::SetTrainingPaused(int device_id, int task_id, bool pause
 }
 
 bool ClusterExperiment::CanFitTraining(int device_id, const TrainingTaskSpec& spec) const {
-  const GpuDevice& dev = device(device_id);
-  return dev.MemoryRequiredMb() + TrainingMemoryMb(spec) <= dev.memory_mb();
+  return device(device_id).FitsTraining(spec);
 }
 
 void ClusterExperiment::RebalanceMemory(int device_id) {
@@ -476,250 +240,8 @@ void ClusterExperiment::RebalanceMemory(int device_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving path
+// Device faults
 // ---------------------------------------------------------------------------
-
-TimeMs ClusterExperiment::WaitTimeoutMs(int device_id) const {
-  const InferenceServiceSpec& spec = ServiceOnDevice(device_id);
-  return std::clamp(0.25 * spec.slo_ms, 5.0, 400.0);
-}
-
-TimeMs ClusterExperiment::ArrivalTickMs(int device_id) const {
-  if (options_.arrival_tick_ms > 0.0) {
-    return options_.arrival_tick_ms;
-  }
-  return std::clamp(ServiceOnDevice(device_id).slo_ms / 15.0, 5.0, 100.0);
-}
-
-void ClusterExperiment::ArrivalTick(int device_id) {
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-  if (!device(device_id).healthy()) {
-    return;  // the periodic event is cancelled at failure; belt and braces
-  }
-  TimeMs now = sim_.Now();
-  double tick = ArrivalTickMs(device_id);
-  double mean = r.qps->QpsAt(now) * tick / kMsPerSecond;
-  auto count = static_cast<double>(rng_.Poisson(mean));
-  if (count > 0.0) {
-    r.queue.push_back(Cohort{now, count});
-    r.queued += count;
-    r.monitor.RecordArrivals(now, count);
-
-    // Overload shedding: bound the queue, penalizing shed requests.
-    const GpuDevice& dev = device(device_id);
-    double cap = kQueueCapBatches * static_cast<double>(std::max(dev.inference().batch_size, 1));
-    while (r.queued > cap && !r.queue.empty()) {
-      Cohort shed = r.queue.front();
-      r.queue.pop_front();
-      r.queued -= shed.count;
-      double penalty = 10.0 * ServiceOnDevice(device_id).slo_ms;
-      r.window_latencies.emplace_back(penalty, shed.count);
-      r.monitor.RecordLatency(penalty, shed.count);
-      if (telemetry_.enabled()) {
-        telemetry_.metrics().GetCounter("serving.shed_requests").Increment(shed.count);
-        MUDI_TRACE_INSTANT(&telemetry_, "serving", "shed", device_id, now,
-                           telemetry::TraceArgs{telemetry::TraceArg::Num("count", shed.count)});
-      }
-    }
-    TryStartBatch(device_id);
-  }
-}
-
-void ClusterExperiment::TryStartBatch(int device_id) {
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-  if (r.busy || r.queue.empty()) {
-    return;
-  }
-  GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
-  if (!dev.healthy()) {
-    return;
-  }
-  int target_batch = std::max(dev.inference().batch_size, 1);
-  TimeMs now = sim_.Now();
-  TimeMs oldest_age = now - r.queue.front().arrival_ms;
-  // The epsilon guards against a Zeno loop: when the timeout fires at
-  // exactly arrival+timeout, floating-point error can leave oldest_age one
-  // ulp short of the timeout, which would re-arm at the same instant.
-  if (r.queued < static_cast<double>(target_batch) &&
-      oldest_age + 1e-6 < WaitTimeoutMs(device_id)) {
-    // Not enough for a full batch yet: arm the formation timeout.
-    if (r.timeout_event == Simulator::kInvalidEventId) {
-      TimeMs fire_at = r.queue.front().arrival_ms + WaitTimeoutMs(device_id);
-      r.timeout_event = sim_.ScheduleAt(std::max(fire_at, now + 0.001), [this, device_id] {
-        replicas_[static_cast<size_t>(device_id)].timeout_event = Simulator::kInvalidEventId;
-        TryStartBatch(device_id);
-      });
-    }
-    return;
-  }
-  if (r.timeout_event != Simulator::kInvalidEventId) {
-    sim_.Cancel(r.timeout_event);
-    r.timeout_event = Simulator::kInvalidEventId;
-  }
-
-  // Form the batch FIFO from cohorts.
-  double want = std::min(r.queued, static_cast<double>(target_batch));
-  int actual = std::max(1, static_cast<int>(std::lround(want)));
-  std::vector<std::pair<TimeMs, double>> consumed;
-  double remaining = static_cast<double>(actual);
-  while (remaining > 1e-9 && !r.queue.empty()) {
-    Cohort& front = r.queue.front();
-    double take = std::min(front.count, remaining);
-    consumed.emplace_back(front.arrival_ms, take);
-    front.count -= take;
-    r.queued -= take;
-    remaining -= take;
-    if (front.count <= 1e-9) {
-      r.queue.pop_front();
-    }
-  }
-
-  auto colocated = ActiveColocation(dev);
-  double latency = oracle_
-                       .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), actual,
-                                                     dev.inference().gpu_fraction, colocated,
-                                                     rng_)
-                       .total_ms() /
-                   dev.EffectiveComputeScale();
-  r.busy = true;
-  r.busy_start = now;
-  r.inflight = consumed;
-  r.batch_event =
-      sim_.ScheduleAfter(latency, [this, device_id, latency, consumed = std::move(consumed)] {
-        FinishBatch(device_id, latency, consumed);
-      });
-}
-
-void ClusterExperiment::FinishBatch(int device_id, double latency_ms,
-                                    std::vector<std::pair<TimeMs, double>> consumed) {
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-  TimeMs now = sim_.Now();
-  r.busy = false;
-  r.batch_event = Simulator::kInvalidEventId;
-  r.inflight.clear();
-  r.busy_accum_ms += now - r.busy_start;
-  double batch_requests = 0.0;
-  for (const auto& [arrival, count] : consumed) {
-    // End-to-end latency = queueing + batch service time.
-    double e2e = now - arrival;
-    r.window_latencies.emplace_back(e2e, count);
-    r.monitor.RecordLatency(e2e, count);
-    r.latency_weighted_sum += e2e * count;
-    r.served += count;
-    batch_requests += count;
-  }
-  if (telemetry_.enabled()) {
-    auto& metrics = telemetry_.metrics();
-    metrics.GetCounter("serving.batches").Increment();
-    metrics.GetCounter("serving.requests").Increment(batch_requests);
-    metrics.GetHistogram("serving.batch_latency_ms", telemetry::MetricsRegistry::DefaultLatencyBucketsMs())
-        .Observe(latency_ms);
-    MUDI_TRACE_COMPLETE(&telemetry_, "serving", "batch", device_id, r.busy_start,
-                        now - r.busy_start,
-                        telemetry::TraceArgs{
-                            telemetry::TraceArg::Num("requests", batch_requests),
-                            telemetry::TraceArg::Num("latency_ms", latency_ms)});
-  }
-  TryStartBatch(device_id);
-}
-
-void ClusterExperiment::CloseSloWindow(int device_id) {
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-  bool tainted = r.window_failure_tainted;
-  r.window_failure_tainted = false;
-  if (r.window_latencies.empty()) {
-    return;  // idle window: nothing to judge
-  }
-  double p99 = WeightedP99(r.window_latencies);
-  ++r.windows_total;
-  bool violated = p99 > ServiceOnDevice(device_id).slo_ms;
-  if (violated) {
-    ++r.windows_violated;
-    if (tainted) {
-      ++r.windows_violated_failure;
-    }
-  }
-  if (telemetry_.enabled()) {
-    telemetry_.metrics().GetCounter("slo.windows_total").Increment();
-    if (violated) {
-      telemetry_.metrics().GetCounter("slo.windows_violated").Increment();
-      if (tainted) {
-        telemetry_.metrics().GetCounter("slo.windows_violated_failure").Increment();
-      }
-      MUDI_TRACE_INSTANT(&telemetry_, "slo", "window_violation", device_id, sim_.Now(),
-                         telemetry::TraceArgs{
-                             telemetry::TraceArg::Num("p99_ms", p99),
-                             telemetry::TraceArg::Num("slo_ms", ServiceOnDevice(device_id).slo_ms),
-                             telemetry::TraceArg::Num("failure_attributed", tainted ? 1.0 : 0.0)});
-    }
-  }
-  r.window_latencies.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Fault path
-// ---------------------------------------------------------------------------
-
-std::string ClusterExperiment::DeviceStatusKey(int device_id) const {
-  return "/devices/" + std::to_string(device_id) + "/status";
-}
-
-std::string ClusterExperiment::DeviceTaskKey(int device_id, int task_id) const {
-  return "/devices/" + std::to_string(device_id) + "/tasks/" + std::to_string(task_id);
-}
-
-void ClusterExperiment::RouteCohort(int failed_device, const Cohort& cohort) {
-  Replica& failed = replicas_[static_cast<size_t>(failed_device)];
-  size_t service = device(failed_device).inference().service_index;
-  std::vector<int> survivors;
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    if (static_cast<int>(d) == failed_device) {
-      continue;
-    }
-    const GpuDevice& dev = device(static_cast<int>(d));
-    if (dev.healthy() && dev.has_inference() && dev.inference().service_index == service) {
-      survivors.push_back(static_cast<int>(d));
-    }
-  }
-  TimeMs now = sim_.Now();
-  if (survivors.empty()) {
-    // No surviving replica of this service: the requests are lost.
-    failed_requests_ += cohort.count;
-    if (telemetry_.enabled()) {
-      telemetry_.metrics().GetCounter("fault.failed_requests").Increment(cohort.count);
-    }
-    return;
-  }
-  int target = survivors[failed.reroute_cursor % survivors.size()];
-  ++failed.reroute_cursor;
-  Replica& r = replicas_[static_cast<size_t>(target)];
-  // The cohort keeps its original arrival time: failover detour latency
-  // counts against the SLO, and the window is failure-attributed.
-  r.queue.push_back(cohort);
-  r.queued += cohort.count;
-  r.monitor.RecordArrivals(now, cohort.count);
-  r.window_failure_tainted = true;
-  rerouted_requests_ += cohort.count;
-  if (telemetry_.enabled()) {
-    telemetry_.metrics().GetCounter("fault.rerouted_requests").Increment(cohort.count);
-    MUDI_TRACE_INSTANT(&telemetry_, "fault", "reroute", target, now,
-                       telemetry::TraceArgs{
-                           telemetry::TraceArg::Num("from_device", failed_device),
-                           telemetry::TraceArg::Num("count", cohort.count)});
-  }
-  TryStartBatch(target);
-}
-
-void ClusterExperiment::FailoverArrivalTick(int failed_device) {
-  Replica& r = replicas_[static_cast<size_t>(failed_device)];
-  TimeMs now = sim_.Now();
-  double tick = ArrivalTickMs(failed_device);
-  double mean = r.qps->QpsAt(now) * tick / kMsPerSecond;
-  auto count = static_cast<double>(rng_.Poisson(mean));
-  if (count > 0.0) {
-    RouteCohort(failed_device, Cohort{now, count});
-  }
-}
 
 std::vector<TrainingTaskInfo> ClusterExperiment::DisplaceTrainings(int device_id, TimeMs now) {
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
@@ -765,11 +287,7 @@ std::vector<TrainingTaskInfo> ClusterExperiment::DisplaceTrainings(int device_id
     requeue.work_full_gpu_ms = std::max(resume_work, 1.0);
     queue_.Push(PendingTask{requeue, /*priority=*/0});
 
-    TrainingTaskInfo info;
-    info.task_id = task_id;
-    info.type_index = instance.type_index;
-    info.spec = &ModelZoo::TrainingTasks()[instance.type_index];
-    displaced.push_back(info);
+    displaced.push_back(MakeTaskInfo(task_id, instance.type_index));
 
     if (telemetry_.enabled()) {
       telemetry_.metrics().GetCounter("fault.trainings_displaced").Increment();
@@ -787,56 +305,7 @@ void ClusterExperiment::OnDeviceDown(int device_id, bool permanent, TimeMs now) 
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   MUDI_CHECK(dev.healthy());
   dev.SetHealthy(false);
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-
-  // Stop every per-device event: arrivals, SLO windows, batch formation
-  // timeouts, the in-flight batch, and any shadow-instance reconfiguration.
-  for (Simulator::EventId* ev :
-       {&r.arrival_event, &r.slo_event, &r.timeout_event, &r.batch_event, &r.pending_event}) {
-    if (*ev != Simulator::kInvalidEventId) {
-      sim_.Cancel(*ev);
-      *ev = Simulator::kInvalidEventId;
-    }
-  }
-  r.pending_config.reset();
-
-  // In-flight requests die with the device: worst-case penalty latency in
-  // the (failure-attributed) SLO window, counted as failed.
-  if (r.busy) {
-    r.busy = false;
-    r.busy_accum_ms += now - r.busy_start;
-    double penalty = 10.0 * ServiceOnDevice(device_id).slo_ms;
-    for (const auto& [arrival, count] : r.inflight) {
-      r.window_latencies.emplace_back(penalty, count);
-      failed_requests_ += count;
-      if (telemetry_.enabled()) {
-        telemetry_.metrics().GetCounter("fault.failed_requests").Increment(count);
-      }
-    }
-    r.inflight.clear();
-    r.window_failure_tainted = true;
-  }
-  // Queued cohorts fail over to surviving replicas of the same service.
-  std::deque<Cohort> queued;
-  queued.swap(r.queue);
-  r.queued = 0.0;
-  for (const auto& cohort : queued) {
-    RouteCohort(device_id, cohort);
-  }
-  // Judge the partial window now; subsequent windows belong to the failover
-  // replicas (this replica's window clock stops until recovery).
-  if (!r.window_latencies.empty()) {
-    r.window_failure_tainted = true;
-  }
-  CloseSloWindow(device_id);
-  r.window_failure_tainted = false;
-
-  // The service's request stream does not stop because a replica died:
-  // future arrivals are generated on the dead replica's profile and re-routed.
-  TimeMs tick = ArrivalTickMs(device_id);
-  r.failover_event = sim_.SchedulePeriodic(now + tick, tick,
-                                           [this, device_id] { FailoverArrivalTick(device_id); });
-
+  serving_.OnDeviceDown(device_id, now);
   std::vector<TrainingTaskInfo> displaced = DisplaceTrainings(device_id, now);
 
   registry_.Put(DeviceStatusKey(device_id), permanent ? "failed" : "down");
@@ -849,9 +318,8 @@ void ClusterExperiment::OnDeviceDown(int device_id, bool permanent, TimeMs now) 
 
   // A crashed scheduler observes nothing: the failure shows up in its
   // recovery scan instead, and OnControlPlaneRestart drops stale caches.
-  if (scheduler_up_) {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnDeviceFailed, now,
-                        DecisionScope::Snapshot::kDevice, device_id);
+  if (SchedulerUp()) {
+    HookScope scope(*this, replay::HookKind::kOnDeviceFailed, device_id);
     if (scope.recorder() != nullptr) {
       for (const auto& t : displaced) {
         scope.recorder()->AddDisplaced(t.task_id, static_cast<uint32_t>(t.type_index));
@@ -866,28 +334,7 @@ void ClusterExperiment::OnDeviceUp(int device_id, TimeMs now) {
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   MUDI_CHECK(!dev.healthy());
   dev.SetHealthy(true);
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
-
-  // The replica restarts from the initial serving configuration (a rebooted
-  // server does not remember its tuned state) with a fresh monitor.
-  InferenceInstance& inf = dev.mutable_inference();
-  inf.batch_size = kInitialBatch;
-  inf.gpu_fraction = kInitialInferenceFraction;
-  inf.mem_required_mb = InferenceMemoryMb(ServiceOnDevice(device_id), kInitialBatch);
-  r.monitor = QpsMonitor();
-  r.monitor.SetTelemetry(&telemetry_, device_id);
-  r.window_latencies.clear();
-  r.window_failure_tainted = false;
-
-  if (r.failover_event != Simulator::kInvalidEventId) {
-    sim_.Cancel(r.failover_event);
-    r.failover_event = Simulator::kInvalidEventId;
-  }
-  TimeMs tick = ArrivalTickMs(device_id);
-  r.arrival_event =
-      sim_.SchedulePeriodic(now + tick, tick, [this, device_id] { ArrivalTick(device_id); });
-  r.slo_event = sim_.SchedulePeriodic(now + options_.slo_window_ms, options_.slo_window_ms,
-                                      [this, device_id] { CloseSloWindow(device_id); });
+  serving_.OnDeviceUp(device_id, now);
 
   registry_.Put(DeviceStatusKey(device_id), "up");
   if (telemetry_.enabled()) {
@@ -895,9 +342,8 @@ void ClusterExperiment::OnDeviceUp(int device_id, TimeMs now) {
   }
   MUDI_LOG(Info) << "device " << device_id << " recovered at t=" << now / kMsPerSecond << "s";
 
-  if (scheduler_up_) {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnDeviceRecovered, now,
-                        DecisionScope::Snapshot::kDevice, device_id);
+  if (SchedulerUp()) {
+    HookScope scope(*this, replay::HookKind::kOnDeviceRecovered, device_id);
     policy_->OnDeviceRecovered(*this, device_id);
   }
   TryDispatchQueue();
@@ -914,263 +360,22 @@ void ClusterExperiment::OnStragglerFactor(int device_id, double factor, TimeMs /
 }
 
 void ClusterExperiment::OnFeedbackLost(int device_id, TimeMs now) {
-  replicas_[static_cast<size_t>(device_id)].monitor.SetFeedbackLost(true, now);
+  serving_.monitor(device_id).SetFeedbackLost(true, now);
 }
 
 void ClusterExperiment::OnFeedbackRestored(int device_id, TimeMs now) {
-  replicas_[static_cast<size_t>(device_id)].monitor.SetFeedbackLost(false, now);
+  serving_.monitor(device_id).SetFeedbackLost(false, now);
 }
 
-// ---------------------------------------------------------------------------
-// Control plane (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-std::string ClusterExperiment::SchedConfigKey(int device_id) const {
-  // The "/inference" terminator keeps the per-device watch prefix exact:
-  // without it, the device-1 watch would also match devices 10, 11, ...
-  return "/sched/config/" + std::to_string(device_id) + "/inference";
-}
-
-void ClusterExperiment::StartControlPlane() {
-  const ControlFaultPlan& plan = options_.ctrl_fault_plan;
-  MUDI_CHECK(!plan.empty());
-  MUDI_CHECK_OK(plan.Validate());
-  ctrl_enabled_ = true;
-
-  // The registry becomes a real (degradable) control-plane dependency.
-  // Delete events are forced on so recovery can observe deregistration
-  // instead of polling for absence.
-  registry_.EnableDeleteEvents(true);
-  Rng ctrl_rng = rng_.Fork(0x6374726Cull);  // "ctrl"
-  registry_.EnableDegradedMode(&sim_, plan.degrade, ctrl_rng.Fork(1));
-  recovery_retrier_ = std::make_unique<Retrier>(&sim_, options_.ctrl_retry, ctrl_rng.Fork(2));
-  watch_retrier_ = std::make_unique<Retrier>(&sim_, options_.ctrl_retry, ctrl_rng.Fork(3));
-
-  config_watches_.assign(cluster_.num_devices(), 0);
-  config_applied_rev_.assign(cluster_.num_devices(), 0);
-  config_applied_seq_.assign(cluster_.num_devices(), 0);
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    RegisterConfigWatch(static_cast<int>(d));
-  }
-
-  ctrl_injector_ = std::make_unique<ControlFaultInjector>(&sim_, this, &telemetry_);
-  MUDI_CHECK_OK(ctrl_injector_->Arm(plan));
-
-  // Coordinator heartbeat: the epoch key tells the recovery scan how fresh
-  // the registry's view of the scheduler is. ("/sched/epoch" does not prefix
-  // any per-device config watch, so heartbeats draw nothing from the
-  // watchers' delivery streams.)
-  if (options_.ctrl_checkpoint_period_ms > 0.0) {
-    sim_.SchedulePeriodic(options_.ctrl_checkpoint_period_ms, options_.ctrl_checkpoint_period_ms,
-                          [this] {
-                            if (!scheduler_up_) {
-                              return;  // a crashed scheduler stops heartbeating
-                            }
-                            ++ckpt_epoch_;
-                            registry_.Put("/sched/epoch", std::to_string(ckpt_epoch_));
-                          });
-  }
-}
-
-void ClusterExperiment::RegisterConfigWatch(int device_id) {
-  config_watches_[static_cast<size_t>(device_id)] = registry_.Watch(
-      SchedConfigKey(device_id),
-      [this, device_id](const std::string& /*key*/, const std::string& value, uint64_t revision) {
-        OnConfigDelivered(device_id, value, revision);
-      });
-}
-
-void ClusterExperiment::OnConfigDelivered(int device_id, const std::string& value,
-                                          uint64_t revision) {
-  size_t d = static_cast<size_t>(device_id);
-  if (revision <= config_applied_rev_[d]) {
-    return;  // out-of-order, duplicate, or stale-snapshot delivery: never regress
-  }
-  config_applied_rev_[d] = revision;
-  if (value.empty()) {
-    return;  // tombstone: the config key was deleted, nothing to apply
-  }
-  char* sep = nullptr;
-  uint64_t seq = std::strtoull(value.c_str(), &sep, 10);
-  MUDI_CHECK(sep != nullptr && *sep == '|');
-  char* sep2 = nullptr;
-  long batch = std::strtol(sep + 1, &sep2, 10);
-  MUDI_CHECK(sep2 != nullptr && *sep2 == '|');
-  double gpu_fraction = std::strtod(sep2 + 1, nullptr);
-  if (seq <= config_applied_seq_[d]) {
-    return;  // this publication already reached the device (e.g. via a
-             // catch-up read racing its own delayed watch delivery)
-  }
-  config_applied_seq_[d] = seq;
-  ++configs_applied_;
-  if (telemetry_.enabled()) {
-    MUDI_TRACE_INSTANT(&telemetry_, "ctrl", "config_applied", device_id, sim_.Now(),
-                       telemetry::TraceArgs{
-                           telemetry::TraceArg::Num("batch", static_cast<double>(batch)),
-                           telemetry::TraceArg::Num("fraction", gpu_fraction),
-                           telemetry::TraceArg::Num("revision", static_cast<double>(revision))});
-  }
-  ApplyInferenceConfigDirect(device_id, static_cast<int>(batch), gpu_fraction);
-}
-
-Status ClusterExperiment::CatchUpConfig(int device_id) {
-  uint64_t rev = 0;
-  StatusOr<std::string> value = registry_.CtrlGet(SchedConfigKey(device_id), &rev);
-  if (!value.ok()) {
-    if (value.status().code() == StatusCode::kNotFound) {
-      // Nothing published yet (or a stale snapshot predating the first
-      // publish) — nothing to catch up on, not a retriable failure.
-      return Status::Ok();
-    }
-    return value.status();
-  }
-  // The delivery guard in OnConfigDelivered makes catch-up idempotent and
-  // immune to stale snapshots regressing a newer applied config.
-  OnConfigDelivered(device_id, *value, rev);
-  return Status::Ok();
-}
-
-void ClusterExperiment::OnKvPartitionStart(TimeMs /*now*/) { registry_.SetPartitioned(true); }
-
-void ClusterExperiment::OnKvPartitionEnd(TimeMs /*now*/) {
-  registry_.SetPartitioned(false);
-  // Updates inside the window were lost, not buffered: catch every device
-  // agent up through the control read path (deterministic device order).
-  // The partition just healed, so the only possible miss is a stale
-  // snapshot, which CatchUpConfig treats as "nothing to apply".
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    MUDI_CHECK_OK(CatchUpConfig(static_cast<int>(d)));
-  }
-}
-
-void ClusterExperiment::OnWatchesLost(TimeMs now) {
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    if (config_watches_[d] != 0) {
-      (void)registry_.Unwatch(config_watches_[d]);
-      config_watches_[d] = 0;
-    }
-  }
-  MUDI_LOG(Info) << "control plane lost its watches at t=" << now / kMsPerSecond << "s";
-  // Re-establish through the sanctioned retry loop: a concurrent partition
-  // makes the catch-up reads fail Unavailable until the window ends.
-  watch_retrier_->Start(
-      0.0,
-      [this]() -> Status {
-        for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-          if (config_watches_[d] == 0) {
-            RegisterConfigWatch(static_cast<int>(d));
-          }
-          MUDI_RETURN_IF_ERROR(CatchUpConfig(static_cast<int>(d)));
-        }
-        return Status::Ok();
-      },
-      [this](const Status& status, int attempts) {
-        if (!status.ok()) {
-          MUDI_LOG(Warning) << "watch re-establishment abandoned after " << attempts
-                            << " attempt(s): " << status.ToString();
-        }
-      });
-}
-
-void ClusterExperiment::OnSchedulerCrash(TimeMs restart_delay_ms, TimeMs now) {
-  if (scheduler_up_) {
-    scheduler_up_ = false;
-    scheduler_crashed_at_ = now;
-    MUDI_LOG(Info) << "scheduler crashed at t=" << now / kMsPerSecond << "s, restart in "
-                   << restart_delay_ms / kMsPerSecond << "s";
-  } else {
-    MUDI_LOG(Info) << "scheduler crashed again (mid-recovery) at t=" << now / kMsPerSecond << "s";
-  }
-  // Start() cancels any in-flight recovery loop: a crash during recovery
-  // restarts recovery from scratch while downtime keeps accruing from the
-  // first crash instant.
-  recovery_retrier_->Start(
-      restart_delay_ms, [this]() -> Status { return AttemptSchedulerRecovery(); },
-      [this](const Status& status, int attempts) {
-        if (status.ok()) {
-          FinishSchedulerRecovery();
-        } else {
-          MUDI_LOG(Warning) << "scheduler recovery abandoned after " << attempts
-                            << " attempt(s): " << status.ToString();
-        }
-      });
-}
-
-Status ClusterExperiment::AttemptSchedulerRecovery() {
-  // Reconstruct the scheduler's policy-visible view from a registry scan.
-  // Either list failing (partition) aborts the attempt; the Retrier backs
-  // off and re-reads.
-  StatusOr<std::vector<std::pair<std::string, std::string>>> device_rows =
-      registry_.CtrlList("/devices/");
-  if (!device_rows.ok()) {
-    return device_rows.status();
-  }
-  StatusOr<std::vector<std::pair<std::string, std::string>>> sched_rows =
-      registry_.CtrlList("/sched/");
-  if (!sched_rows.ok()) {
-    return sched_rows.status();
-  }
-  // Cross-check the scan against live (ground-truth) cluster state. Rows a
-  // stale snapshot or a pre-crash write left behind are counted, not
-  // trusted: the policy re-derives everything from probes after
-  // OnControlPlaneRestart anyway.
-  size_t mismatches = 0;
-  size_t scanned_tasks = 0;
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    const std::string status_key = DeviceStatusKey(static_cast<int>(d));
-    std::string scanned;
-    for (const auto& [key, value] : *device_rows) {
-      if (key == status_key) {
-        scanned = value;
-        break;
-      }
-    }
-    if ((scanned == "up") != cluster_.device(d).healthy()) {
-      ++mismatches;
-    }
-  }
-  for (const auto& [key, value] : *device_rows) {
-    if (key.find("/tasks/") != std::string::npos) {
-      ++scanned_tasks;
-    }
-  }
-  if (scanned_tasks != running_.size()) {
-    mismatches += scanned_tasks > running_.size() ? scanned_tasks - running_.size()
-                                                  : running_.size() - scanned_tasks;
-  }
-  for (const auto& [key, value] : *sched_rows) {
-    if (key == "/sched/epoch" && value != std::to_string(ckpt_epoch_)) {
-      ++mismatches;  // the heartbeat row lags the coordinator's last beat
-    }
-  }
-  stale_scan_entries_ += mismatches;
-  return Status::Ok();
-}
-
-void ClusterExperiment::FinishSchedulerRecovery() {
-  TimeMs now = sim_.Now();
-  double recovery_ms = now - scheduler_crashed_at_;
-  scheduler_up_ = true;
-  ++scheduler_recoveries_;
-  recovery_ms_sum_ += recovery_ms;
-  MUDI_LOG(Info) << "scheduler recovered at t=" << now / kMsPerSecond << "s ("
-                 << recovery_ms / kMsPerSecond << "s outage, " << stale_scan_entries_
-                 << " stale scan entries so far)";
-  if (telemetry_.enabled()) {
-    telemetry_.metrics().GetCounter("ctrl.scheduler_recoveries").Increment();
-    MUDI_TRACE_INSTANT(&telemetry_, "ctrl", "scheduler_recovered",
-                       static_cast<int>(cluster_.num_devices()), now,
-                       telemetry::TraceArgs{telemetry::TraceArg::Num("recovery_ms", recovery_ms)});
-  }
+void ClusterExperiment::OnSchedulerRecovered() {
   // The reconstructed view may be stale: drop policy caches and force a full
   // retune sweep at the next MonitorTick (stale-trigger every replica).
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnControlPlaneRestart,
-                        now, DecisionScope::Snapshot::kNone);
+    HookScope scope(*this, replay::HookKind::kOnControlPlaneRestart);
     policy_->OnControlPlaneRestart(*this);
   }
-  for (auto& r : replicas_) {
-    r.last_trigger_ms = now - options_.periodic_retune_ms;
+  for (TimeMs& last : last_retune_ms_) {
+    last = sim_.Now() - options_.periodic_retune_ms;
   }
   TryDispatchQueue();
 }
@@ -1199,22 +404,17 @@ void ClusterExperiment::OnTrainingArrival(const TrainingArrival& arrival) {
 }
 
 void ClusterExperiment::TryDispatchQueue() {
-  if (!scheduler_up_) {
+  if (!SchedulerUp()) {
     return;  // placements need the scheduler; tasks wait out the crash
   }
   while (!queue_.empty()) {
     const PendingTask* next = queue_.Peek();
     MUDI_CHECK(next != nullptr);
-    TrainingTaskInfo info;
-    info.task_id = next->arrival.task_id;
-    info.type_index = next->arrival.type_index;
-    info.spec = &ModelZoo::TrainingTasks()[next->arrival.type_index];
+    TrainingTaskInfo info = MakeTaskInfo(next->arrival.task_id, next->arrival.type_index);
     std::optional<int> choice;
     {
-      DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kSelectDevice,
-                          sim_.Now(), DecisionScope::Snapshot::kAll, /*device_id=*/-1,
-                          info.task_id, static_cast<int>(info.type_index));
-      perf::PerfRegion region(perf_select_stat_);
+      HookScope scope(*this, replay::HookKind::kSelectDevice, /*device_id=*/-1, info.task_id,
+                      static_cast<int>(info.type_index));
       choice = policy_->SelectDevice(*this, info);
       if (scope.recorder() != nullptr) {
         scope.recorder()->SetChosenDevice(choice.value_or(-1));
@@ -1289,15 +489,10 @@ void ClusterExperiment::PlaceTask(const TrainingArrival& arrival, int device_id)
                                                     record.start_ms - arrival.arrival_ms)});
   }
 
-  TrainingTaskInfo info;
-  info.task_id = arrival.task_id;
-  info.type_index = arrival.type_index;
-  info.spec = &spec;
+  TrainingTaskInfo info = MakeTaskInfo(arrival.task_id, arrival.type_index);
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnTrainingPlaced,
-                        sim_.Now(), DecisionScope::Snapshot::kDevice, device_id, info.task_id,
-                        static_cast<int>(info.type_index));
-    perf::PerfRegion region(perf_place_stat_);
+    HookScope scope(*this, replay::HookKind::kOnTrainingPlaced, device_id, info.task_id,
+                    static_cast<int>(info.type_index));
     policy_->OnTrainingPlaced(*this, device_id, info);
   }
   UpdateTrainingSpeeds(device_id);
@@ -1335,7 +530,10 @@ void ClusterExperiment::SyncTrainingProgress(int device_id, int task_id) {
 void ClusterExperiment::UpdateTrainingSpeeds(int device_id) {
   GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   const auto& tasks = ModelZoo::TrainingTasks();
-  InferenceLoad load = CurrentInferenceLoad(device_id);
+  // A direct monitor read, like the one in ProbeTrainingIterMs.
+  InferenceLoad load{&ServiceOnDevice(device_id), dev.inference().batch_size,
+                     dev.inference().gpu_fraction,
+                     serving_.monitor(device_id).CurrentQps(sim_.Now())};
 
   for (auto& instance : dev.mutable_trainings()) {
     auto it = running_.find(instance.task_id);
@@ -1354,15 +552,9 @@ void ClusterExperiment::UpdateTrainingSpeeds(int device_id) {
       continue;
     }
     const TrainingTaskSpec& spec = tasks[instance.type_index];
-    std::vector<ColocatedTraining> others;
-    for (const auto& other : dev.trainings()) {
-      if (!other.paused && other.task_id != instance.task_id) {
-        others.push_back(ColocatedTraining{&tasks[other.type_index], other.gpu_fraction});
-      }
-    }
     double iter = oracle_.TrainingIterationMs(spec, std::clamp(instance.gpu_fraction, 0.02, 1.0),
-                                              load, others) *
-                  MemoryManager::SwapSlowdownFactor(instance) / dev.EffectiveComputeScale();
+                                              load, ActiveColocation(dev, instance.task_id)) *
+                  SwapSlowdownFactor(instance) / dev.EffectiveComputeScale();
     running.speed = spec.iter_ms_full / iter;
     MUDI_CHECK_GT(running.speed, 0.0);
     TimeMs eta = instance.work_remaining_ms / running.speed;
@@ -1399,9 +591,8 @@ void ClusterExperiment::OnTrainingComplete(int device_id, int task_id) {
 
   RebalanceMemory(device_id);
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnTrainingCompleted,
-                        sim_.Now(), DecisionScope::Snapshot::kDevice, device_id, task_id,
-                        static_cast<int>(record.type_index));
+    HookScope scope(*this, replay::HookKind::kOnTrainingCompleted, device_id, task_id,
+                    static_cast<int>(record.type_index));
     policy_->OnTrainingCompleted(*this, device_id, task_id);
   }
   UpdateTrainingSpeeds(device_id);
@@ -1413,7 +604,7 @@ void ClusterExperiment::OnTrainingComplete(int device_id, int task_id) {
 // ---------------------------------------------------------------------------
 
 void ClusterExperiment::MonitorTick() {
-  if (!scheduler_up_) {
+  if (!SchedulerUp()) {
     return;  // no tuning decisions while the scheduler is down; the replicas
              // keep serving on their last-applied configurations
   }
@@ -1421,10 +612,10 @@ void ClusterExperiment::MonitorTick() {
     if (!cluster_.device(d).healthy()) {
       continue;  // no monitor feedback and nothing to retune while down
     }
-    Replica& r = replicas_[d];
-    bool qps_trigger = r.monitor.QpsChangedBeyondThreshold(sim_.Now());
-    bool slo_risk = r.monitor.has_latency_samples() &&
-                    r.monitor.P99LatencyMs() > 0.9 * ServiceOnDevice(static_cast<int>(d)).slo_ms;
+    QpsMonitor& monitor = serving_.monitor(static_cast<int>(d));
+    bool qps_trigger = monitor.QpsChangedBeyondThreshold(sim_.Now());
+    bool slo_risk = monitor.has_latency_samples() &&
+                    monitor.P99LatencyMs() > 0.9 * ServiceOnDevice(static_cast<int>(d)).slo_ms;
     // Devices with preemptively paused training (§5.3.2) are re-evaluated on
     // every tick: "until suitable resources become available" requires an
     // active check, not just a QPS-change edge trigger.
@@ -1432,16 +623,14 @@ void ClusterExperiment::MonitorTick() {
     for (const auto& t : cluster_.device(d).trainings()) {
       has_paused |= t.paused;
     }
-    bool stale = sim_.Now() - r.last_trigger_ms >= options_.periodic_retune_ms;
+    bool stale = sim_.Now() - last_retune_ms_[d] >= options_.periodic_retune_ms;
     if (qps_trigger || slo_risk || has_paused || stale) {
-      r.last_trigger_ms = sim_.Now();
+      last_retune_ms_[d] = sim_.Now();
       {
-        DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnQpsChange,
-                            sim_.Now(), DecisionScope::Snapshot::kDevice, static_cast<int>(d));
-        perf::PerfRegion region(perf_qps_stat_);
+        HookScope scope(*this, replay::HookKind::kOnQpsChange, static_cast<int>(d));
         policy_->OnQpsChange(*this, static_cast<int>(d));
       }
-      r.monitor.AckQpsChange(sim_.Now());
+      monitor.AckQpsChange(sim_.Now());
       RebalanceMemory(static_cast<int>(d));
       UpdateTrainingSpeeds(static_cast<int>(d));
     }
@@ -1462,13 +651,7 @@ void ClusterExperiment::UtilSampleTick() {
   double mem_sum = 0.0;
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
     GpuDevice& dev = cluster_.device(d);
-    Replica& r = replicas_[d];
-    double busy_ms = r.busy_accum_ms;
-    if (r.busy) {
-      busy_ms += now - std::max(r.busy_start, now - dt);
-    }
-    r.busy_accum_ms = 0.0;
-    double busy_frac = std::clamp(busy_ms / dt, 0.0, 1.0);
+    double busy_frac = serving_.SampleBusyFraction(static_cast<int>(d), now, dt);
     double sm = busy_frac * dev.inference().gpu_fraction;
     for (const auto& t : dev.trainings()) {
       if (!t.paused) {
@@ -1491,19 +674,6 @@ void ClusterExperiment::UtilSampleTick() {
     // average, so its per-device utilization agrees with exp/metrics.
     MUDI_TRACE_COUNTER(&telemetry_, "sm_util", static_cast<int>(d), now, sm);
     MUDI_TRACE_COUNTER(&telemetry_, "mem_util", static_cast<int>(d), now, mem);
-
-    // Swap-time accounting (Tab. 4).
-    bool any_swapped = false;
-    for (const auto& t : dev.trainings()) {
-      if (t.mem_swapped_mb > 1.0) {
-        any_swapped = true;
-        break;
-      }
-    }
-    if (any_swapped) {
-      r.swapped_time_ms += dt;
-    }
-    r.observed_time_ms += dt;
   }
   double n = static_cast<double>(cluster_.num_devices());
   if (telemetry_.enabled()) {
@@ -1555,16 +725,17 @@ ExperimentResult ClusterExperiment::Run() {
     options_.recorder->RecordDeviceTable(table);
   }
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kInitialize, sim_.Now(),
-                        DecisionScope::Snapshot::kAll);
-    perf::PerfRegion region(perf(), "policy.initialize");
+    HookScope scope(*this, replay::HookKind::kInitialize);
     policy_->Initialize(*this);
   }
 
-  // Arm the control-plane fault domain (no-op for an empty plan: zero events,
+  // Arm the control-plane fault domain (none for an empty plan: zero events,
   // zero registry traffic, byte-identical results — ctrl_fault_test pins it).
   if (!options_.ctrl_fault_plan.empty()) {
-    StartControlPlane();
+    ctrl_ = std::make_unique<ControlPlane>(options_, sim_, registry_, cluster_,
+                                           rng_.Fork(0x6374726Cull),  // "ctrl"
+                                           telemetry_,
+                                           static_cast<ControlPlane::Listener&>(*this));
   }
 
   // Arm the fault schedule (no-op for an empty plan: zero events, zero RNG
@@ -1585,16 +756,7 @@ ExperimentResult ClusterExperiment::Run() {
     sim_.ScheduleAt(arrival.arrival_ms, [this, arrival] { OnTrainingArrival(arrival); });
   }
 
-  // Per-device arrival ticks (event ids kept so a device failure cancels them).
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    int device_id = static_cast<int>(d);
-    double tick = ArrivalTickMs(device_id);
-    Replica& r = replicas_[d];
-    r.arrival_event =
-        sim_.SchedulePeriodic(tick, tick, [this, device_id] { ArrivalTick(device_id); });
-    r.slo_event = sim_.SchedulePeriodic(options_.slo_window_ms, options_.slo_window_ms,
-                                        [this, device_id] { CloseSloWindow(device_id); });
-  }
+  serving_.Start();
   sim_.SchedulePeriodic(options_.monitor_period_ms, options_.monitor_period_ms,
                         [this] { MonitorTick(); });
   sim_.SchedulePeriodic(options_.util_sample_ms, options_.util_sample_ms,
@@ -1617,30 +779,10 @@ ExperimentResult ClusterExperiment::Run() {
     sim_.RunUntil(sim_.Now() + options_.drain_ms);
   }
 
-  // Close any half-open SLO windows.
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    CloseSloWindow(static_cast<int>(d));
-  }
-
   // Aggregate results.
   ExperimentResult result;
   result.policy_name = policy_->name();
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    const Replica& r = replicas_[d];
-    const std::string& name = ServiceOnDevice(static_cast<int>(d)).name;
-    ServiceMetrics& m = result.per_service[name];
-    m.service_name = name;
-    m.windows_total += r.windows_total;
-    m.windows_violated += r.windows_violated;
-    m.windows_violated_failure += r.windows_violated_failure;
-    m.mean_latency_ms += r.latency_weighted_sum;
-    m.served_requests += r.served;
-  }
-  for (auto& [name, m] : result.per_service) {
-    if (m.served_requests > 0.0) {
-      m.mean_latency_ms /= m.served_requests;
-    }
-  }
+  double served = serving_.Collect(result);
   for (const auto& [id, record] : task_records_) {
     result.tasks.push_back(record);
   }
@@ -1648,21 +790,12 @@ ExperimentResult ClusterExperiment::Run() {
 
   double sm_sum = 0.0;
   double mem_sum = 0.0;
-  std::map<std::string, std::pair<double, double>> swap_acc;  // (swapped, observed)
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    const GpuDevice& dev = device(static_cast<int>(d));
+  for (const GpuDevice& dev : cluster_.devices()) {
     sm_sum += dev.AverageSmUtil();
     mem_sum += dev.AverageMemUtil();
-    const Replica& r = replicas_[d];
-    auto& acc = swap_acc[ServiceOnDevice(static_cast<int>(d)).name];
-    acc.first += r.swapped_time_ms;
-    acc.second += r.observed_time_ms;
   }
   result.avg_sm_util = sm_sum / static_cast<double>(cluster_.num_devices());
   result.avg_mem_util = mem_sum / static_cast<double>(cluster_.num_devices());
-  for (const auto& [name, acc] : swap_acc) {
-    result.swap_time_fraction[name] = acc.second > 0.0 ? acc.first / acc.second : 0.0;
-  }
   result.swap_events = memory_manager_.records().size();
   result.swap_total_mb = memory_manager_.total_swapped_out_mb();
   result.util_series = util_series_;
@@ -1683,39 +816,11 @@ ExperimentResult ClusterExperiment::Run() {
       trainings_replaced_ == 0
           ? 0.0
           : replacement_time_sum_ms_ / static_cast<double>(trainings_replaced_);
-  fm.failed_requests = failed_requests_;
-  fm.rerouted_requests = rerouted_requests_;
-  double total_served = 0.0;
-  for (const auto& r : replicas_) {
-    total_served += r.served;
-  }
-  fm.goodput_rps = sim_.Now() > 0.0 ? total_served / (sim_.Now() / kMsPerSecond) : 0.0;
+  fm.goodput_rps = sim_.Now() > 0.0 ? served / (sim_.Now() / kMsPerSecond) : 0.0;
 
   // Control-plane fault/recovery aggregates (all zero without a ctrl plan).
-  if (ctrl_enabled_) {
-    ControlMetrics& cm = result.ctrl;
-    cm.events_injected = ctrl_injector_->events_injected();
-    cm.kv_partitions = ctrl_injector_->partitions();
-    cm.watch_losses = ctrl_injector_->watch_losses();
-    cm.scheduler_crashes = ctrl_injector_->scheduler_crashes();
-    cm.scheduler_recoveries = scheduler_recoveries_;
-    cm.total_recovery_ms = recovery_ms_sum_;
-    cm.retries = static_cast<size_t>(recovery_retrier_->total_retries() +
-                                     watch_retrier_->total_retries());
-    cm.stale_reads = static_cast<size_t>(registry_.stale_reads());
-    cm.unavailable_reads = static_cast<size_t>(registry_.unavailable_reads());
-    cm.watch_delivered = static_cast<size_t>(registry_.watch_delivered());
-    cm.watch_dropped = static_cast<size_t>(registry_.watch_dropped());
-    cm.watch_lost_partition = static_cast<size_t>(registry_.watch_lost_partition());
-    cm.configs_published = configs_published_;
-    cm.configs_applied = configs_applied_;
-    cm.stale_scan_entries = stale_scan_entries_;
-    if (telemetry_.enabled()) {
-      auto& metrics = telemetry_.metrics();
-      metrics.GetCounter("ctrl.retries").Increment(static_cast<double>(cm.retries));
-      metrics.GetCounter("ctrl.stale_reads").Increment(static_cast<double>(cm.stale_reads));
-      metrics.GetGauge("ctrl.recovery_ms").Set(cm.total_recovery_ms);
-    }
+  if (ctrl_ != nullptr) {
+    ctrl_->Collect(result.ctrl);
   }
 
   if (telemetry_.enabled()) {
@@ -1733,10 +838,6 @@ ExperimentResult ClusterExperiment::Run() {
     sim_.ExportPerfCounters(collector);
     collector->SetCounter("exp.tasks_total", result.tasks.size());
     collector->SetCounter("exp.tasks_completed", result.CompletedTasks());
-    double served = 0.0;
-    for (const auto& r : replicas_) {
-      served += r.served;
-    }
     collector->SetCounter("exp.requests_served", static_cast<uint64_t>(served));
   }
 

@@ -13,30 +13,30 @@
 #ifndef SRC_EXP_CLUSTER_EXPERIMENT_H_
 #define SRC_EXP_CLUSTER_EXPERIMENT_H_
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/cluster/cluster_state.h"
 #include "src/cluster/kv_store.h"
-#include "src/cluster/monitor.h"
 #include "src/cluster/policy.h"
 #include "src/cluster/task_queue.h"
 #include "src/common/rng.h"
-#include "src/sim/retry.h"
 #include "src/core/memory_manager.h"
+#include "src/exp/control_plane.h"
 #include "src/exp/metrics.h"
-#include "src/fault/control_fault_injector.h"
+#include "src/exp/serving_plane.h"
 #include "src/fault/control_fault_plan.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/perf/perf_collector.h"
 #include "src/replay/decision_recorder.h"
+#include "src/replay/probe.h"
 #include "src/replay/replay_source.h"
+#include "src/sim/retry.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/workload/request_generator.h"
@@ -101,11 +101,6 @@ struct ExperimentOptions {
   // events and zero registry traffic: the run stays byte-identical to one
   // without any control-fault machinery (ctrl_fault_test pins this).
   ControlFaultPlan ctrl_fault_plan;
-  // Opt-in tombstone delete events on the registry (KvStore delete events).
-  // Forced on while a control fault plan is armed so recovery can observe
-  // deregistration. With no watchers registered this only affects revision
-  // numbers, never results.
-  bool registry_delete_events = false;
   // Scheduler state-checkpoint period while the control fault domain is
   // active: the coordinator heartbeats its epoch into the registry so the
   // recovery scan can tell how stale its view is.
@@ -145,7 +140,15 @@ struct ExperimentOptions {
   replay::ReplaySource* replay = nullptr;
 };
 
-class ClusterExperiment : public SchedulingEnv, public FaultSink, public ControlFaultSink {
+// Composes the planes: ServingPlane runs every replica's serving loop,
+// ControlPlane (only with a control fault plan) carries configs through the
+// registry. The experiment itself keeps the training path — queue,
+// placement, progress, checkpoints — because every training event ends in a
+// policy hook, and it implements SchedulingEnv and the device-fault sink.
+class ClusterExperiment : public SchedulingEnv,
+                          public FaultSink,
+                          private ServingPlane::Listener,
+                          private ControlPlane::Listener {
  public:
   ClusterExperiment(ExperimentOptions options, MultiplexPolicy* policy);
   ~ClusterExperiment() override;
@@ -179,7 +182,6 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   // Bench_throughput divides this by wall time for sim-sec/wall-sec.
   TimeMs SimNowMs() const { return sim_.Now(); }
 
-  const PerfOracle& ground_truth() const { return oracle_; }
   const Telemetry& telemetry_sink() const { return telemetry_; }
   // Device registry (etcd-style): "/devices/<d>/status" plus one
   // "/devices/<d>/tasks/<task_id>" entry per resident training. A failed
@@ -193,59 +195,8 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   void OnFeedbackLost(int device_id, TimeMs now) override;
   void OnFeedbackRestored(int device_id, TimeMs now) override;
 
-  // --- ControlFaultSink (driven by the ControlFaultInjector) ---
-  void OnKvPartitionStart(TimeMs now) override;
-  void OnKvPartitionEnd(TimeMs now) override;
-  void OnWatchesLost(TimeMs now) override;
-  void OnSchedulerCrash(TimeMs restart_delay_ms, TimeMs now) override;
-
-  // Whether the scheduler process is up (always true without a control
-  // fault plan; exposed for tests).
-  bool scheduler_up() const { return scheduler_up_; }
-
  private:
-  struct Cohort {
-    TimeMs arrival_ms;
-    double count;
-  };
-
-  struct Replica {
-    std::shared_ptr<const QpsProfile> qps;
-    QpsMonitor monitor;
-    std::deque<Cohort> queue;
-    double queued = 0.0;
-    bool busy = false;
-    TimeMs busy_start = 0.0;
-    TimeMs busy_accum_ms = 0.0;  // busy time since last util sample
-    Simulator::EventId timeout_event = Simulator::kInvalidEventId;
-    // In-flight batch: its completion event and the request cohorts it
-    // carries, so a device failure can fail them instead of losing them.
-    Simulator::EventId batch_event = Simulator::kInvalidEventId;
-    std::vector<std::pair<TimeMs, double>> inflight;  // (arrival, count)
-    // Pending GPU% reconfiguration (shadow instance warming up).
-    std::optional<std::pair<int, double>> pending_config;
-    Simulator::EventId pending_event = Simulator::kInvalidEventId;
-    // Per-device periodic events, cancellable at failure time.
-    Simulator::EventId arrival_event = Simulator::kInvalidEventId;
-    Simulator::EventId slo_event = Simulator::kInvalidEventId;
-    // While the device is down its traffic fails over to surviving replicas.
-    Simulator::EventId failover_event = Simulator::kInvalidEventId;
-    size_t reroute_cursor = 0;  // deterministic round-robin over survivors
-    // SLO window accounting.
-    std::vector<std::pair<double, double>> window_latencies;  // (latency, weight)
-    // Failure touched this window (failed/re-routed requests landed in it):
-    // a violation is attributed to the fault, not to load.
-    bool window_failure_tainted = false;
-    size_t windows_total = 0;
-    size_t windows_violated = 0;
-    size_t windows_violated_failure = 0;
-    double latency_weighted_sum = 0.0;
-    double served = 0.0;
-    // Swap-time accounting.
-    double swapped_time_ms = 0.0;
-    double observed_time_ms = 0.0;
-    TimeMs last_trigger_ms = 0.0;
-  };
+  class HookScope;
 
   struct RunningTask {
     int device_id = -1;
@@ -259,59 +210,28 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
     double work_at_checkpoint = 0.0;
   };
 
-  // --- serving path ---
-  void ArrivalTick(int device_id);
-  void TryStartBatch(int device_id);
-  void FinishBatch(int device_id, double latency_ms,
-                   std::vector<std::pair<TimeMs, double>> consumed);
-  TimeMs WaitTimeoutMs(int device_id) const;
-  TimeMs ArrivalTickMs(int device_id) const;
-  void CloseSloWindow(int device_id);
+  // --- ServingPlane::Listener ---
+  void RebalanceMemory(int device_id) override;
+  void UpdateTrainingSpeeds(int device_id) override;
+  // --- ControlPlane::Listener ---
+  void ApplyDeliveredConfig(int device_id, int batch, double gpu_fraction) override;
+  void OnSchedulerRecovered() override;
 
-  // --- fault path ---
-  // Hands a cohort of the failed device's service to a surviving replica
-  // (round-robin), or counts it failed when none survives.
-  void RouteCohort(int failed_device, const Cohort& cohort);
-  // Poisson arrivals for a down replica, re-routed to survivors.
-  void FailoverArrivalTick(int failed_device);
-  // Checkpoint-rollback + requeue of every training on a dying device.
-  std::vector<TrainingTaskInfo> DisplaceTrainings(int device_id, TimeMs now);
-  std::string DeviceStatusKey(int device_id) const;
-  std::string DeviceTaskKey(int device_id, int task_id) const;
-
-  // --- control-plane path (active only with a non-empty ctrl_fault_plan) ---
-  std::string SchedConfigKey(int device_id) const;
-  // Turns on the degraded registry, registers per-device config watches,
-  // arms the control injector, and starts the coordinator heartbeat.
-  void StartControlPlane();
-  // Applies a batch/GPU% pair on the device agent (the pre-control-plane
-  // direct path; also the endpoint of a delivered config watch event).
-  void ApplyInferenceConfigDirect(int device_id, int batch, double gpu_fraction);
-  // Watch endpoint: parse, guard revision monotonicity, apply.
-  void OnConfigDelivered(int device_id, const std::string& value, uint64_t revision);
-  void RegisterConfigWatch(int device_id);
-  // Catch-up read of a device's config through the control path (used after
-  // partitions heal and watches re-establish).
-  Status CatchUpConfig(int device_id);
-  // The recovery scan: reconstruct the scheduler's view from the registry.
-  Status AttemptSchedulerRecovery();
-  void FinishSchedulerRecovery();
+  // Without a control plane the scheduler never goes down.
+  bool SchedulerUp() const { return ctrl_ == nullptr || ctrl_->scheduler_up(); }
 
   // --- training path ---
   void OnTrainingArrival(const TrainingArrival& arrival);
   void TryDispatchQueue();
   void PlaceTask(const TrainingArrival& arrival, int device_id);
   void SyncTrainingProgress(int device_id, int task_id);
-  void UpdateTrainingSpeeds(int device_id);
   void OnTrainingComplete(int device_id, int task_id);
+  // Checkpoint-rollback + requeue of every training on a dying device.
+  std::vector<TrainingTaskInfo> DisplaceTrainings(int device_id, TimeMs now);
 
   // --- periodic ---
   void MonitorTick();
   void UtilSampleTick();
-
-  std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev) const;
-  InferenceLoad CurrentInferenceLoad(int device_id);
-  void RebalanceMemory(int device_id);
 
   ExperimentOptions options_;
   MultiplexPolicy* policy_;
@@ -321,59 +241,35 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   ClusterState cluster_;
   Rng rng_;
   Rng probe_rng_;
+  replay::Prober prober_;
   MemoryManager memory_manager_;
   TaskQueue queue_;
   KvStore registry_;
   std::unique_ptr<FaultInjector> fault_injector_;
-  std::unique_ptr<ControlFaultInjector> ctrl_injector_;
+  ServingPlane serving_;
+  std::unique_ptr<ControlPlane> ctrl_;  // null without a control fault plan
 
-  // Cached perf-region stats (null when unprofiled): resolved once in the
-  // constructor so each profiled decision costs a branch plus two clock
-  // reads, and nothing at all when options_.perf is null.
-  perf::LatencyStat* perf_select_stat_ = nullptr;
-  perf::LatencyStat* perf_place_stat_ = nullptr;
-  perf::LatencyStat* perf_qps_stat_ = nullptr;
+  // Per-hook `policy.*` region stats, resolved once in the constructor (null
+  // when unprofiled or for hooks without a region).
+  std::array<perf::LatencyStat*, replay::kNumHookKinds> hook_stats_{};
 
-  std::vector<Replica> replicas_;
   std::map<int, RunningTask> running_;          // task_id -> runtime state
   std::map<int, TaskRecord> task_records_;      // task_id -> record
   size_t tasks_remaining_ = 0;
   TimeMs last_completion_ms_ = 0.0;
   TimeMs first_arrival_ms_ = 0.0;
+  std::vector<TimeMs> last_retune_ms_;  // per device: last OnQpsChange trigger
 
   std::vector<UtilSample> util_series_;
   std::vector<DeviceSeriesSample> device_series_;
   TimeMs last_util_sample_ms_ = 0.0;
 
-  // Fault/recovery accounting.
+  // Training fault/recovery accounting.
   size_t trainings_displaced_ = 0;
   size_t trainings_replaced_ = 0;
   double work_lost_ms_ = 0.0;
-  double failed_requests_ = 0.0;
-  double rerouted_requests_ = 0.0;
   double replacement_time_sum_ms_ = 0.0;
   std::map<int, TimeMs> displaced_at_;  // task_id -> displacement time
-
-  // Control-plane fault state (inert without a ctrl fault plan).
-  bool ctrl_enabled_ = false;
-  bool scheduler_up_ = true;
-  TimeMs scheduler_crashed_at_ = 0.0;
-  size_t scheduler_recoveries_ = 0;
-  double recovery_ms_sum_ = 0.0;
-  size_t configs_published_ = 0;
-  size_t configs_applied_ = 0;
-  size_t stale_scan_entries_ = 0;
-  uint64_t ckpt_epoch_ = 0;
-  std::vector<KvStore::WatchId> config_watches_;   // per device; 0 = none
-  std::vector<uint64_t> config_applied_rev_;       // monotonic delivery guard
-  // Highest publication sequence number applied per device: catch-up reads
-  // re-deliver the same publication, and this keeps configs_applied_ a true
-  // count of publications that reached the device (never double-counted).
-  std::vector<uint64_t> config_applied_seq_;
-  // Retriers for the two retried control flows. Constructed in
-  // StartControlPlane so fault-free runs never touch them.
-  std::unique_ptr<Retrier> recovery_retrier_;
-  std::unique_ptr<Retrier> watch_retrier_;
 };
 
 }  // namespace mudi

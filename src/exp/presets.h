@@ -34,14 +34,6 @@ ExperimentOptions SimulatedClusterOptions(size_t num_tasks = 5000, uint64_t seed
 // side-by-side runs isolate the availability cost of the faults.
 ExperimentOptions ChaosClusterOptions(size_t num_tasks = 120, uint64_t seed = 5);
 
-// The physical-cluster setup with the standard control-plane chaos schedule
-// armed (StandardControlChaosPlan: degraded KvStore watch delivery, stale
-// reads, partition windows, a watch-loss event, and two scheduler crashes —
-// one inside a partition). Device hardware stays healthy, so side-by-side
-// runs with ChaosClusterOptions separate data-plane from control-plane
-// availability costs.
-ExperimentOptions CtrlChaosClusterOptions(size_t num_tasks = 120, uint64_t seed = 5);
-
 // Named policy factory. `profiling_oracle` must outlive the returned policy
 // (it backs Mudi's and MuxFlow's offline profiling) and must be configured
 // with the same seed as the experiment's runtime oracle so offline profiles

@@ -109,6 +109,11 @@ class GpuDevice {
   double MemoryFreeMb() const { return memory_mb_ - MemoryResidentMb(); }
   // MB that must be swapped out (deficit) to fit; <= 0 when everything fits.
   double MemoryDeficitMb() const { return MemoryResidentMb() - memory_mb_; }
+  // True when the task's full working set fits alongside the current
+  // residents without swap (SchedulingEnv::CanFitTraining).
+  bool FitsTraining(const TrainingTaskSpec& spec) const {
+    return MemoryRequiredMb() + TrainingMemoryMb(spec) <= memory_mb_;
+  }
 
   // --- utilization accounting (Fig. 10) ---
   void AccumulateUsage(double duration_ms, double sm_util, double mem_util);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/common/check.h"
+#include "src/gpu/gpu_device.h"
 #include "src/telemetry/telemetry.h"
 
 namespace mudi {
@@ -115,20 +116,6 @@ double PerfOracle::PairAffinity(const InferenceServiceSpec& service,
 double PerfOracle::SaturationFraction(const InferenceServiceSpec& service, int batch) {
   double g = service.saturation_base + service.saturation_per_sample * static_cast<double>(batch);
   return std::clamp(g, 0.10, 1.0);
-}
-
-double PerfOracle::CpuContentionFactor(const InferenceServiceSpec& service, double sensitivity,
-                                       const std::vector<ColocatedTraining>& training,
-                                       size_t other_inference_count) const {
-  (void)service;
-  double demand_inference =
-      kInferenceNeighborCpuDemand * static_cast<double>(other_inference_count);
-  double demand_training = 0.0;
-  for (const auto& t : training) {
-    MUDI_CHECK(t.spec != nullptr);
-    demand_training += t.spec->cpu_load;
-  }
-  return 1.0 + sensitivity * demand_inference + sensitivity * 0.3 * demand_training;
 }
 
 InferencePhaseLatency PerfOracle::InferenceBatchLatency(
@@ -274,6 +261,17 @@ double PerfOracle::ObserveTrainingIterationMs(
     training_iter_hist_->Observe(iter);
   }
   return iter;
+}
+
+std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev, int skip_task_id) {
+  const auto& tasks = ModelZoo::TrainingTasks();
+  std::vector<ColocatedTraining> out;
+  for (const TrainingInstance& t : dev.trainings()) {
+    if (!t.paused && t.task_id != skip_task_id) {
+      out.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
+    }
+  }
+  return out;
 }
 
 }  // namespace mudi

@@ -38,6 +38,7 @@
 
 namespace mudi {
 
+class GpuDevice;
 class Telemetry;
 namespace telemetry {
 class Histogram;
@@ -48,6 +49,10 @@ struct ColocatedTraining {
   const TrainingTaskSpec* spec = nullptr;
   double gpu_fraction = 0.0;  // GPU share allocated to this training task
 };
+
+// The device's unpaused trainings other than `skip_task_id`, in residency
+// order: the co-location an oracle query on that device sees.
+std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev, int skip_task_id = -1);
 
 // The inference side's load, as needed to compute the pressure it exerts.
 struct InferenceLoad {
@@ -120,10 +125,6 @@ class PerfOracle {
   void SetTelemetry(Telemetry* telemetry);
 
  private:
-  double CpuContentionFactor(const InferenceServiceSpec& service, double sensitivity,
-                             const std::vector<ColocatedTraining>& training,
-                             size_t other_inference_count) const;
-
   // Per-service random projection weights over the layer-census features.
   std::vector<std::vector<double>> affinity_weights_;
   std::vector<double> affinity_bias_;

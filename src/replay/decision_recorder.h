@@ -99,6 +99,22 @@ class DecisionRecorder : public DecisionSink {
   bool finished_ = false;
 };
 
+// A policy-facing monitor read or actuation belongs to the open decision:
+// these record it only when `recorder` is attached and has a decision open.
+inline double RecordFeedbackRead(DecisionRecorder* recorder, double sim_ms, int device_id,
+                                 bool is_p99, double value) {
+  if (recorder != nullptr && recorder->decision_open()) {
+    recorder->RecordQpsFeedback(sim_ms, device_id, is_p99, value);
+  }
+  return value;
+}
+inline void RecordActionTaken(DecisionRecorder* recorder, ActionKind kind, int device_id, int arg,
+                              double value) {
+  if (recorder != nullptr && recorder->decision_open()) {
+    recorder->AddAction(kind, device_id, arg, value);
+  }
+}
+
 }  // namespace replay
 }  // namespace mudi
 

@@ -161,6 +161,8 @@ struct TraceAction {
   int32_t device_id = -1;
   int32_t arg = 0;
   double value = 0.0;
+
+  bool operator==(const TraceAction&) const = default;
 };
 
 struct TraceCandidate {
@@ -247,7 +249,6 @@ class TraceWriter {
   void Finish();
 
   bool finished() const { return finished_; }
-  uint64_t records_written() const { return records_written_; }
 
   // The encoded bytes accumulated since the last Take (header included in
   // the first Take). Moves the buffer out.

@@ -2,19 +2,20 @@
 //
 // A probe's result is fully determined by its inputs (the oracle is a pure
 // function of them plus seeded noise), so record and replay agree on a key by
-// hashing the same effective inputs on both sides: the live harness
-// (ClusterExperiment::Probe*) hashes what it passes to the PerfOracle when
-// recording, and the replay environments hash what they *would* pass when
-// looking the value up. Keys are FNV-1a 64 over the raw bit patterns, so two
-// probes collide only when the oracle would have been asked the identical
-// question — which is exactly when serving the recorded answer is sound.
+// hashing the effective inputs of the oracle call, built for both sides in
+// one place (replay::Prober, probe.h). Keys are FNV-1a 64 over the raw bit
+// patterns, so two probes collide only when the oracle would have been asked
+// the identical question — which is exactly when serving the recorded
+// answer is sound.
 #ifndef SRC_REPLAY_PROBE_KEY_H_
 #define SRC_REPLAY_PROBE_KEY_H_
 
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
+
+#include "src/gpu/perf_oracle.h"
+#include "src/workload/models.h"
 
 namespace mudi {
 namespace replay {
@@ -39,29 +40,32 @@ class KeyHasher {
     return Mix(bits);
   }
 
+  // Co-located trainings as (type index, gpu fraction) pairs, in device
+  // residency order: both sides build them from the same trainings vector
+  // (ActiveColocation), so no canonicalization is needed.
+  KeyHasher& Mix(const std::vector<ColocatedTraining>& colocated) {
+    Mix(static_cast<uint64_t>(colocated.size()));
+    for (const ColocatedTraining& c : colocated) {
+      Mix(static_cast<uint32_t>(c.spec - ModelZoo::TrainingTasks().data())).Mix(c.gpu_fraction);
+    }
+    return *this;
+  }
+
   uint64_t hash() const { return hash_; }
 
  private:
   uint64_t hash_ = 14695981039346656037ULL;
 };
 
-// (training type index, gpu fraction) pairs, in device residency order — both
-// sides iterate the same trainings vector, so no canonicalization is needed.
-using ColocationMix = std::vector<std::pair<uint32_t, double>>;
-
 // Key for SchedulingEnv::ProbeInferenceLatencyMs. Inputs mirror the
 // ObserveInferenceBatchLatency call plus the device's effective compute
 // scale, which divides the returned latency.
 inline uint64_t InferenceProbeKey(uint32_t service_index, int batch, double gpu_fraction,
-                                  const ColocationMix& colocated,
+                                  const std::vector<ColocatedTraining>& colocated,
                                   double effective_compute_scale) {
   KeyHasher h;
   h.Mix(uint64_t{1}).Mix(service_index).Mix(batch).Mix(gpu_fraction);
-  h.Mix(static_cast<uint64_t>(colocated.size()));
-  for (const auto& [type, fraction] : colocated) {
-    h.Mix(type).Mix(fraction);
-  }
-  h.Mix(effective_compute_scale);
+  h.Mix(colocated).Mix(effective_compute_scale);
   return h.hash();
 }
 
@@ -73,16 +77,12 @@ inline uint64_t InferenceProbeKey(uint32_t service_index, int batch, double gpu_
 inline uint64_t TrainingProbeKey(uint32_t type_index, double clamped_fraction,
                                  uint32_t load_service_index, int load_batch,
                                  double load_gpu_fraction, double load_qps,
-                                 const ColocationMix& others, double swap_factor,
-                                 double effective_compute_scale) {
+                                 const std::vector<ColocatedTraining>& others,
+                                 double swap_factor, double effective_compute_scale) {
   KeyHasher h;
   h.Mix(uint64_t{2}).Mix(type_index).Mix(clamped_fraction);
   h.Mix(load_service_index).Mix(load_batch).Mix(load_gpu_fraction).Mix(load_qps);
-  h.Mix(static_cast<uint64_t>(others.size()));
-  for (const auto& [type, fraction] : others) {
-    h.Mix(type).Mix(fraction);
-  }
-  h.Mix(swap_factor).Mix(effective_compute_scale);
+  h.Mix(others).Mix(swap_factor).Mix(effective_compute_scale);
   return h.hash();
 }
 

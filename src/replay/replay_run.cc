@@ -1,13 +1,12 @@
 #include "src/replay/replay_run.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/wallclock.h"
-#include "src/replay/probe_key.h"
+#include "src/replay/trace_diff.h"
 #include "src/workload/models.h"
 
 namespace mudi {
@@ -19,55 +18,6 @@ namespace {
 // never asked this exact question, so any fixed independent stream is as
 // honest as another — but it must not alias the recorded run's streams.
 constexpr uint64_t kFallbackRngTag = 0x7265706c61796673ull;  // "replayfs"
-
-std::string FormatChoiceDivergence(const TraceDecision& recorded, int whatif_choice) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "decision seq %llu (SelectDevice task %d): recorded chose device %d, "
-                "what-if chose device %d",
-                static_cast<unsigned long long>(recorded.seq), recorded.task_id,
-                recorded.chosen_device, whatif_choice);
-  return buf;
-}
-
-std::string FormatActionDivergence(const TraceDecision& recorded,
-                                   const std::vector<TraceAction>& whatif) {
-  char buf[224];
-  size_t n = std::min(recorded.actions.size(), whatif.size());
-  for (size_t i = 0; i < n; ++i) {
-    const TraceAction& a = recorded.actions[i];
-    const TraceAction& b = whatif[i];
-    if (a.kind != b.kind || a.device_id != b.device_id || a.arg != b.arg || a.value != b.value) {
-      std::snprintf(buf, sizeof(buf),
-                    "decision seq %llu (%s): action %zu differs — recorded %s(dev=%d, arg=%d, "
-                    "value=%.6g), what-if %s(dev=%d, arg=%d, value=%.6g)",
-                    static_cast<unsigned long long>(recorded.seq),
-                    HookName(static_cast<HookKind>(recorded.hook)), i,
-                    ActionName(static_cast<ActionKind>(a.kind)), a.device_id, a.arg, a.value,
-                    ActionName(static_cast<ActionKind>(b.kind)), b.device_id, b.arg, b.value);
-      return buf;
-    }
-  }
-  std::snprintf(buf, sizeof(buf),
-                "decision seq %llu (%s): recorded %zu action(s), what-if %zu action(s)",
-                static_cast<unsigned long long>(recorded.seq),
-                HookName(static_cast<HookKind>(recorded.hook)), recorded.actions.size(),
-                whatif.size());
-  return buf;
-}
-
-bool SameActions(const std::vector<TraceAction>& a, const std::vector<TraceAction>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].kind != b[i].kind || a[i].device_id != b[i].device_id || a[i].arg != b[i].arg ||
-        a[i].value != b[i].value) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -146,11 +96,7 @@ void ReplayEnv::ApplyDecisionState(const TraceDecision& decision) {
   }
 }
 
-std::vector<TraceAction> ReplayEnv::TakeActions() {
-  std::vector<TraceAction> out = std::move(actions_);
-  actions_.clear();
-  return out;
-}
+std::vector<TraceAction> ReplayEnv::TakeActions() { return std::exchange(actions_, {}); }
 
 const GpuDevice& ReplayEnv::device(int device_id) const {
   MUDI_CHECK_GE(device_id, 0);
@@ -169,119 +115,31 @@ const InferenceServiceSpec& ReplayEnv::ServiceOnDevice(int device_id) const {
 }
 
 double ReplayEnv::MeasuredQps(int device_id) {
-  double qps = latest_qps_[static_cast<size_t>(device_id)];
-  if (whatif_recorder_ != nullptr && whatif_recorder_->decision_open()) {
-    whatif_recorder_->RecordQpsFeedback(now_ms_, device_id, /*is_p99=*/false, qps);
-  }
-  return qps;
+  return RecordFeedbackRead(whatif_recorder_, now_ms_, device_id, /*is_p99=*/false,
+                            latest_qps_[static_cast<size_t>(device_id)]);
 }
 
 double ReplayEnv::MeasuredP99(int device_id) {
-  double p99 = latest_p99_[static_cast<size_t>(device_id)];
-  if (whatif_recorder_ != nullptr && whatif_recorder_->decision_open()) {
-    whatif_recorder_->RecordQpsFeedback(now_ms_, device_id, /*is_p99=*/true, p99);
-  }
-  return p99;
+  return RecordFeedbackRead(whatif_recorder_, now_ms_, device_id, /*is_p99=*/true,
+                            latest_p99_[static_cast<size_t>(device_id)]);
 }
 
 double ReplayEnv::ProbeInferenceLatencyMs(int device_id, int batch, double gpu_fraction) {
-  const GpuDevice& dev = device(device_id);
-  ColocationMix mix;
-  mix.reserve(dev.trainings().size());
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused) {
-      mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-    }
-  }
-  uint64_t key = InferenceProbeKey(static_cast<uint32_t>(dev.inference().service_index), batch,
-                                   gpu_fraction, mix, dev.EffectiveComputeScale());
-  if (auto recorded = source_.TakeObservation(key)) {
-    return *recorded;
-  }
-  // Miss: the recorded run never asked this question (the counterfactual
-  // policy diverged into unexplored configurations). Answer from a private
-  // oracle seeded like the recorded one — approximate, but ground-truth
-  // shaped, which is the best an offline what-if can do.
-  const auto& tasks = ModelZoo::TrainingTasks();
-  std::vector<ColocatedTraining> colocated;
-  colocated.reserve(mix.size());
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused) {
-      colocated.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  double lat = fallback_oracle_
-                   .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), batch, gpu_fraction,
-                                                 colocated, fallback_rng_)
-                   .total_ms();
-  return lat / dev.EffectiveComputeScale();
+  return prober_.Inference(device(device_id), batch, gpu_fraction, now_ms_);
 }
 
 double ReplayEnv::ProbeTrainingIterMs(int device_id, int task_id, double train_fraction,
                                       int inf_batch, double inf_fraction) {
-  const GpuDevice& dev = device(device_id);
-  const TrainingInstance* instance = dev.FindTraining(task_id);
-  MUDI_CHECK(instance != nullptr);
-  const auto& tasks = ModelZoo::TrainingTasks();
-  const TrainingTaskSpec& spec = tasks[instance->type_index];
-
-  InferenceLoad load;
-  load.spec = &ServiceOnDevice(device_id);
-  load.batch_size = inf_batch > 0 ? inf_batch : dev.inference().batch_size;
-  load.gpu_fraction = inf_fraction > 0.0 ? inf_fraction : dev.inference().gpu_fraction;
   // The recorded run keyed probes on the monitor QPS at decision time, which
   // is exactly the value the policy read as feedback inside the decision —
   // the feedback cursor has already advanced past those reads.
-  load.qps = latest_qps_[static_cast<size_t>(device_id)];
-
-  double frac = train_fraction > 0.0 ? train_fraction : instance->gpu_fraction;
-  double clamped = std::clamp(frac, 0.02, 1.0);
-
-  // Mirror the live harness's hypothetical-swap construction exactly: the
-  // probe key embeds the swap factor, so any deviation here would turn
-  // recorded hits into misses.
-  TrainingInstance hypothetical = *instance;
-  if (inf_batch > 0) {
-    double inf_mem = InferenceMemoryMb(*load.spec, inf_batch);
-    double required = inf_mem;
-    for (const TrainingInstance& t : dev.trainings()) {
-      required += t.mem_required_mb;
-    }
-    double deficit = std::max(0.0, required - dev.memory_mb());
-    hypothetical.mem_swapped_mb = std::min(deficit, 0.85 * instance->mem_required_mb);
-  }
-  double swap_factor = SwapSlowdownFactor(hypothetical);
-
-  ColocationMix others_mix;
-  std::vector<ColocatedTraining> others;
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused && t.task_id != task_id) {
-      others_mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      others.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  uint64_t key = TrainingProbeKey(static_cast<uint32_t>(instance->type_index), clamped,
-                                  static_cast<uint32_t>(dev.inference().service_index),
-                                  load.batch_size, load.gpu_fraction, load.qps, others_mix,
-                                  swap_factor, dev.EffectiveComputeScale());
-  if (auto recorded = source_.TakeObservation(key)) {
-    return *recorded;
-  }
-  double iter = fallback_oracle_.ObserveTrainingIterationMs(spec, clamped, load, others,
-                                                            fallback_rng_);
-  return iter * swap_factor / dev.EffectiveComputeScale();
+  return prober_.Training(device(device_id), task_id, train_fraction, inf_batch, inf_fraction,
+                          latest_qps_[static_cast<size_t>(device_id)], now_ms_);
 }
 
 void ReplayEnv::RecordAction(ActionKind kind, int device_id, int arg, double value) {
-  TraceAction action;
-  action.kind = static_cast<uint8_t>(kind);
-  action.device_id = device_id;
-  action.arg = arg;
-  action.value = value;
-  actions_.push_back(action);
-  if (whatif_recorder_ != nullptr && whatif_recorder_->decision_open()) {
-    whatif_recorder_->AddAction(kind, device_id, arg, value);
-  }
+  actions_.push_back(TraceAction{static_cast<uint8_t>(kind), device_id, arg, value});
+  RecordActionTaken(whatif_recorder_, kind, device_id, arg, value);
 }
 
 void ReplayEnv::ApplyInferenceConfig(int device_id, int batch, double gpu_fraction) {
@@ -326,8 +184,7 @@ void ReplayEnv::SetTrainingPaused(int device_id, int task_id, bool paused) {
 }
 
 bool ReplayEnv::CanFitTraining(int device_id, const TrainingTaskSpec& spec) const {
-  const GpuDevice& dev = device(device_id);
-  return dev.MemoryRequiredMb() + TrainingMemoryMb(spec) <= dev.memory_mb();
+  return device(device_id).FitsTraining(spec);
 }
 
 StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
@@ -352,7 +209,6 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
   }
 
   WhatIfResult result;
-  const auto& tasks = ModelZoo::TrainingTasks();
   for (size_t i = 0; i < trace.decisions.size(); ++i) {
     const TraceDecision& d = trace.decisions[i];
     uint64_t bound = i + 1 < trace.decisions.size() ? trace.decisions[i + 1].seq
@@ -373,10 +229,7 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
         break;
       case HookKind::kSelectDevice: {
         MUDI_CHECK_GE(d.type_index, 0);
-        TrainingTaskInfo info;
-        info.task_id = d.task_id;
-        info.type_index = static_cast<size_t>(d.type_index);
-        info.spec = &tasks[info.type_index];
+        TrainingTaskInfo info = MakeTaskInfo(d.task_id, static_cast<size_t>(d.type_index));
         whatif_choice = policy.SelectDevice(env, info).value_or(-1);
         if (rec != nullptr) {
           rec->SetChosenDevice(whatif_choice);
@@ -385,11 +238,8 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
       }
       case HookKind::kOnTrainingPlaced: {
         MUDI_CHECK_GE(d.type_index, 0);
-        TrainingTaskInfo info;
-        info.task_id = d.task_id;
-        info.type_index = static_cast<size_t>(d.type_index);
-        info.spec = &tasks[info.type_index];
-        policy.OnTrainingPlaced(env, d.device_id, info);
+        policy.OnTrainingPlaced(env, d.device_id,
+                                MakeTaskInfo(d.task_id, static_cast<size_t>(d.type_index)));
         break;
       }
       case HookKind::kOnTrainingCompleted:
@@ -402,11 +252,7 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
         std::vector<TrainingTaskInfo> displaced;
         displaced.reserve(d.displaced.size());
         for (const auto& [task_id, type_index] : d.displaced) {
-          TrainingTaskInfo info;
-          info.task_id = task_id;
-          info.type_index = type_index;
-          info.spec = &tasks[type_index];
-          displaced.push_back(info);
+          displaced.push_back(MakeTaskInfo(task_id, type_index));
           if (rec != nullptr) {
             rec->AddDisplaced(task_id, type_index);
           }
@@ -428,21 +274,21 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
     }
 
     std::vector<TraceAction> whatif_actions = env.TakeActions();
-    bool diverged = false;
     std::string detail;
     if (whatif_choice != -2 && whatif_choice != d.chosen_device) {
-      diverged = true;
-      detail = FormatChoiceDivergence(d, whatif_choice);
-    } else if (!SameActions(d.actions, whatif_actions)) {
-      diverged = true;
-      detail = FormatActionDivergence(d, whatif_actions);
+      detail = "task " + std::to_string(d.task_id) + ": recorded chose device " +
+               std::to_string(d.chosen_device) + ", what-if chose device " +
+               std::to_string(whatif_choice);
+    } else if (d.actions != whatif_actions) {
+      detail = ActionsDivergence(d.actions, whatif_actions, "recorded", "what-if");
     }
-    if (diverged) {
+    if (!detail.empty()) {
       ++result.diverged_decisions;
       if (!result.diverged) {
         result.diverged = true;
         result.first_divergence_seq = d.seq;
-        result.first_divergence_detail = std::move(detail);
+        result.first_divergence_detail = "decision seq " + std::to_string(d.seq) + " (" +
+                                         HookName(static_cast<HookKind>(d.hook)) + "): " + detail;
       }
     }
     ++result.decisions_replayed;

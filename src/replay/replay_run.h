@@ -28,6 +28,7 @@
 #include "src/gpu/gpu_device.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/replay/decision_recorder.h"
+#include "src/replay/probe.h"
 #include "src/replay/replay_source.h"
 
 namespace mudi {
@@ -101,9 +102,11 @@ class ReplayEnv : public SchedulingEnv {
   TimeMs now_ms_ = 0.0;
   std::vector<TraceAction> actions_;
   // Probe-miss fallback: a private oracle seeded like the recorded run's,
-  // with its own noise stream (misses are approximate by construction).
+  // with its own noise stream (misses are approximate by construction:
+  // the counterfactual policy asked a question the recorded run never did).
   PerfOracle fallback_oracle_;
   Rng fallback_rng_;
+  Prober prober_{fallback_oracle_, fallback_rng_, &source_, nullptr};
 };
 
 // Replays every recorded decision through `policy`. The policy must be

@@ -54,47 +54,35 @@ std::string ChoiceDetail(const TraceDecision& a, const TraceDecision& b) {
   return out.str();
 }
 
-std::string ActionsDetail(const TraceDecision& a, const TraceDecision& b) {
-  size_t n = std::min(a.actions.size(), b.actions.size());
-  for (size_t i = 0; i < n; ++i) {
-    const TraceAction& x = a.actions[i];
-    const TraceAction& y = b.actions[i];
-    if (x.kind != y.kind || x.device_id != y.device_id || x.arg != y.arg || x.value != y.value) {
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "action %zu: A %s(dev=%d, arg=%d, value=%.6g) vs B %s(dev=%d, arg=%d, "
-                    "value=%.6g)",
-                    i, ActionName(static_cast<ActionKind>(x.kind)), x.device_id, x.arg, x.value,
-                    ActionName(static_cast<ActionKind>(y.kind)), y.device_id, y.arg, y.value);
-      return buf;
-    }
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "A took %zu action(s), B took %zu", a.actions.size(),
-                b.actions.size());
-  return buf;
-}
-
-bool SameActions(const TraceDecision& a, const TraceDecision& b) {
-  if (a.actions.size() != b.actions.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.actions.size(); ++i) {
-    const TraceAction& x = a.actions[i];
-    const TraceAction& y = b.actions[i];
-    if (x.kind != y.kind || x.device_id != y.device_id || x.arg != y.arg || x.value != y.value) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct HookAccum {
   uint64_t count = 0;
   double total_wall_us = 0.0;
 };
 
 }  // namespace
+
+std::string ActionsDivergence(const std::vector<TraceAction>& a,
+                              const std::vector<TraceAction>& b, const char* label_a,
+                              const char* label_b) {
+  char buf[256];
+  size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const TraceAction& x = a[i];
+    const TraceAction& y = b[i];
+    if (x != y) {
+      std::snprintf(buf, sizeof(buf),
+                    "action %zu: %s %s(dev=%d, arg=%d, value=%.6g) vs %s %s(dev=%d, arg=%d, "
+                    "value=%.6g)",
+                    i, label_a, ActionName(static_cast<ActionKind>(x.kind)), x.device_id, x.arg,
+                    x.value, label_b, ActionName(static_cast<ActionKind>(y.kind)), y.device_id,
+                    y.arg, y.value);
+      return buf;
+    }
+  }
+  std::snprintf(buf, sizeof(buf), "%s took %zu action(s), %s took %zu", label_a, a.size(),
+                label_b, b.size());
+  return buf;
+}
 
 TraceDiffResult DiffTraces(const DecisionTrace& a, const DecisionTrace& b) {
   TraceDiffResult diff;
@@ -116,9 +104,9 @@ TraceDiffResult DiffTraces(const DecisionTrace& a, const DecisionTrace& b) {
     } else if (da.chosen_device != db.chosen_device) {
       kind = "choice";
       detail = ChoiceDetail(da, db);
-    } else if (!SameActions(da, db)) {
+    } else if (da.actions != db.actions) {
       kind = "actions";
-      detail = ActionsDetail(da, db);
+      detail = ActionsDivergence(da.actions, db.actions, "A", "B");
     } else {
       continue;
     }

@@ -63,6 +63,12 @@ struct TraceDiffResult {
 
 TraceDiffResult DiffTraces(const DecisionTrace& a, const DecisionTrace& b);
 
+// Where two action lists first differ ("action i: <label_a> X(...) vs
+// <label_b> Y(...)"), or their lengths when one is a prefix of the other.
+std::string ActionsDivergence(const std::vector<TraceAction>& a,
+                              const std::vector<TraceAction>& b, const char* label_a,
+                              const char* label_b);
+
 // Human-readable report (what tools/trace_diff prints).
 std::string FormatTraceDiff(const TraceDiffResult& diff);
 

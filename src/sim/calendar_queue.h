@@ -165,8 +165,6 @@ class CalendarQueue {
 
   // Observational stats for perf counters.
   uint64_t migrations() const { return migrations_; }
-  uint64_t spills() const { return spills_; }
-  size_t overflow_size() const { return overflow_.size(); }
 
  private:
   struct Bucket {
@@ -242,7 +240,6 @@ class CalendarQueue {
   // as their ticks now dictate). Only reachable after the window jumped over
   // an idle gap, so it is rare; correctness over speed here.
   void SpillAndRebase(int64_t tick) {
-    ++spills_;
     std::vector<Item> live;
     for (size_t idx = 0; CalendarCount() != live.size() && idx < num_buckets_; ++idx) {
       Bucket& b = buckets_[idx];
@@ -290,7 +287,6 @@ class CalendarQueue {
   int64_t cursor_tick_ = 0;  // tick of the bucket holding the current minimum
   size_t size_ = 0;
   uint64_t migrations_ = 0;
-  uint64_t spills_ = 0;
 };
 
 }  // namespace mudi

@@ -77,7 +77,6 @@ class EventArena {
 
   size_t slabs() const { return slabs_.size(); }
   size_t capacity() const { return slabs_.size() * kSlabSize; }
-  size_t free_slots() const { return free_.size(); }
   size_t high_water() const { return next_fresh_; }
 
  private:

@@ -6,7 +6,6 @@
 #include "src/common/env.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
-#include "src/common/thread_annotations.h"
 
 namespace mudi {
 
@@ -41,19 +40,6 @@ Telemetry::Telemetry(TelemetryOptions options)
     : options_(std::move(options)),
       tracing_enabled_(options_.enabled && options_.tracing && CompiledWithTracing()),
       trace_(telemetry::TraceRecorder::Options{options_.trace_ring_capacity}) {}
-
-Telemetry& Telemetry::Global() {
-  // Process-wide singleton, leaked on purpose (no shutdown-order hazards). A
-  // sharded run gives each shard its own process and thus its own instance.
-  MUDI_SHARD_SHARED("per-process singleton; shards run in separate processes");
-  static Telemetry* instance = [] {
-    TelemetryOptions options;
-    options.enabled = true;
-    options.ApplyEnvOverrides();
-    return new Telemetry(options);
-  }();
-  return *instance;
-}
 
 bool Telemetry::WriteTraceFile(const std::string& path) const {
   std::ofstream os(path, std::ios::binary);

@@ -54,10 +54,6 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // Process-wide instance for tools and ad-hoc use; experiments own their
-  // own instance so runs in one process stay independent.
-  static Telemetry& Global();
-
   bool enabled() const { return options_.enabled; }
   bool tracing_enabled() const { return tracing_enabled_; }
   static constexpr bool CompiledWithTracing() { return MUDI_TRACING_ENABLED != 0; }

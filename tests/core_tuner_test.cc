@@ -249,11 +249,11 @@ TEST(MemoryManagerTest, TransferTimeMatchesBandwidth) {
 
 TEST(MemoryManagerTest, SwapSlowdownGrowsWithSwappedFraction) {
   TrainingInstance t = Resident(1, 1000.0);
-  EXPECT_DOUBLE_EQ(MemoryManager::SwapSlowdownFactor(t), 1.0);
+  EXPECT_DOUBLE_EQ(SwapSlowdownFactor(t), 1.0);
   t.mem_swapped_mb = 500.0;
-  double half = MemoryManager::SwapSlowdownFactor(t);
+  double half = SwapSlowdownFactor(t);
   t.mem_swapped_mb = 900.0;
-  double most = MemoryManager::SwapSlowdownFactor(t);
+  double most = SwapSlowdownFactor(t);
   EXPECT_GT(half, 1.0);
   EXPECT_GT(most, half);
   EXPECT_LT(most, 3.0);
@@ -292,7 +292,7 @@ TEST(MemoryManagerTest, RandomizedOperationsKeepInvariants) {
         // Swap state within bounds per task.
         EXPECT_GE(t.mem_swapped_mb, -1e-9);
         EXPECT_LE(t.mem_swapped_mb, t.mem_required_mb + 1e-9);
-        EXPECT_GE(MemoryManager::SwapSlowdownFactor(t), 1.0);
+        EXPECT_GE(SwapSlowdownFactor(t), 1.0);
         total_min_resident += 0.15 * t.mem_required_mb;
       }
       // After a rebalance the device fits unless even minimum residents plus

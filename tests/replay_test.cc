@@ -464,21 +464,37 @@ TEST(ReplayEndToEndTest, RecordedTraceCapturesTheRun) {
 }
 
 TEST(ReplayEndToEndTest, SamePolicyWhatIfReproducesEveryDecision) {
-  ExperimentOptions options = SmallOptions(/*seed=*/67);
-  std::string path = RecordRun("Mudi", options, "e2e_whatif_same.trace");
-  StatusOr<ReplaySource> source = ReplaySource::Load(path);
-  ASSERT_TRUE(source.ok()) << source.status().message();
+  // Over a plain recording and a device-chaos one (failures, a straggler,
+  // lost feedback), the live run and the what-if answer probes through the
+  // same path, so every probe is a first-time hit on its recorded key.
+  ExperimentOptions chaos = SmallOptions(/*seed=*/67);
+  chaos.fault_plan = StandardChaosPlan(chaos.num_nodes * chaos.gpus_per_node, chaos.num_nodes);
+  for (const ExperimentOptions& options : {SmallOptions(/*seed=*/67), chaos}) {
+    SCOPED_TRACE(options.fault_plan.empty() ? "plain recording" : "device-chaos recording");
+    std::string path = RecordRun("Mudi", options, "e2e_whatif_same.trace");
+    StatusOr<ReplaySource> source = ReplaySource::Load(path);
+    ASSERT_TRUE(source.ok()) << source.status().message();
+    if (!options.fault_plan.empty()) {
+      size_t failures = 0;
+      for (const TraceDecision& d : source->trace().decisions) {
+        failures += static_cast<HookKind>(d.hook) == HookKind::kOnDeviceFailed ? 1 : 0;
+      }
+      EXPECT_GT(failures, 0u) << "the chaos recording must contain device failures";
+    }
 
-  PerfOracle profiling_oracle(source->trace().header.oracle_seed);
-  auto policy = MakePolicy("Mudi", profiling_oracle);
-  StatusOr<WhatIfResult> result = RunWhatIf(*source, *policy);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result->decisions_replayed, source->trace().decisions.size());
-  EXPECT_FALSE(result->diverged) << result->first_divergence_detail;
-  EXPECT_EQ(result->diverged_decisions, 0u);
-  // Non-vacuous: the what-if genuinely consulted the recorded observations.
-  EXPECT_GT(result->probe_hits, 0u);
-  std::remove(path.c_str());
+    PerfOracle profiling_oracle(source->trace().header.oracle_seed);
+    auto policy = MakePolicy("Mudi", profiling_oracle);
+    StatusOr<WhatIfResult> result = RunWhatIf(*source, *policy);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->decisions_replayed, source->trace().decisions.size());
+    EXPECT_FALSE(result->diverged) << result->first_divergence_detail;
+    EXPECT_EQ(result->diverged_decisions, 0u);
+    // Non-vacuous: the what-if genuinely consulted the recorded observations.
+    EXPECT_GT(result->probe_hits, 0u);
+    EXPECT_EQ(result->probe_sticky_hits, 0u);
+    EXPECT_EQ(result->probe_misses, 0u);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ReplayEndToEndTest, DifferentPolicyDivergesAndTraceDiffPinpointsIt) {

@@ -12,6 +12,8 @@
 #include <cstring>
 #include "src/common/float_eq.h"
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,103 +93,48 @@ void PrintUsage() {
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
+  const std::map<std::string, bool*> switches = {
+      {"--chaos", &args->chaos},
+      {"--ctrl-chaos", &args->ctrl_chaos},
+      {"--util", &args->util_series}};
+  const std::map<std::string, std::function<void(const char*)>> valued = {
+      {"--policy", [args](const char* v) { args->policy = v; }},
+      {"--nodes", [args](const char* v) { args->nodes = std::atoi(v); }},
+      {"--gpus", [args](const char* v) { args->gpus = std::atoi(v); }},
+      {"--tasks", [args](const char* v) { args->tasks = static_cast<size_t>(std::atoll(v)); }},
+      {"--seed", [args](const char* v) { args->seed = static_cast<uint64_t>(std::atoll(v)); }},
+      {"--queue", [args](const char* v) { args->queue = v; }},
+      {"--load", [args](const char* v) { args->load = std::atof(v); }},
+      {"--compression", [args](const char* v) { args->compression = std::atof(v); }},
+      {"--tick-ms", [args](const char* v) { args->tick_ms = std::atof(v); }},
+      {"--csv", [args](const char* v) { args->csv = v; }},
+      {"--trace", [args](const char* v) { args->trace_file = v; }},
+      {"--trace-ring",
+       [args](const char* v) { args->trace_ring = static_cast<size_t>(std::atoll(v)); }},
+      {"--metrics-json", [args](const char* v) { args->metrics_json = v; }},
+      {"--metrics-csv", [args](const char* v) { args->metrics_csv = v; }},
+      {"--perf-report", [args](const char* v) { args->perf_report = v; }},
+      {"--record", [args](const char* v) { args->record_file = v; }},
+      {"--replay", [args](const char* v) { args->replay_file = v; }},
+      {"--replay-verify", [args](const char* v) { args->replay_verify_file = v; }},
+      {"--whatif", [args](const char* v) { args->whatif_file = v; }},
+  };
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
     if (flag == "--help" || flag == "-h") {
       args->help = true;
       return true;
-    } else if (flag == "--policy") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->policy = v;
-    } else if (flag == "--nodes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->nodes = std::atoi(v);
-    } else if (flag == "--gpus") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->gpus = std::atoi(v);
-    } else if (flag == "--tasks") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->tasks = static_cast<size_t>(std::atoll(v));
-    } else if (flag == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (flag == "--queue") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->queue = v;
-    } else if (flag == "--load") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->load = std::atof(v);
-    } else if (flag == "--compression") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->compression = std::atof(v);
-    } else if (flag == "--tick-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->tick_ms = std::atof(v);
-    } else if (flag == "--chaos") {
-      args->chaos = true;
-    } else if (flag == "--ctrl-chaos") {
-      args->ctrl_chaos = true;
-    } else if (flag == "--util") {
-      args->util_series = true;
-    } else if (flag == "--csv") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->csv = v;
-    } else if (flag == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->trace_file = v;
-    } else if (flag == "--trace-ring") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->trace_ring = static_cast<size_t>(std::atoll(v));
-    } else if (flag == "--metrics-json") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->metrics_json = v;
-    } else if (flag == "--metrics-csv") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->metrics_csv = v;
-    } else if (flag == "--perf-report") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->perf_report = v;
-    } else if (flag == "--record") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->record_file = v;
-    } else if (flag == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->replay_file = v;
-    } else if (flag == "--replay-verify") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->replay_verify_file = v;
-    } else if (flag == "--whatif") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->whatif_file = v;
-    } else {
+    }
+    if (auto sw = switches.find(flag); sw != switches.end()) {
+      *sw->second = true;
+    } else if (auto set = valued.find(flag); set == valued.end()) {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
+    } else if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return false;
+    } else {
+      set->second(argv[++i]);
     }
   }
   return true;
