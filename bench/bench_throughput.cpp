@@ -40,6 +40,7 @@
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
 #include "src/perf/json_check.h"
+#include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
 #include "src/perf/perf_report.h"
 
@@ -120,6 +121,7 @@ Record RunOne(const Preset& preset, const std::string& policy_name) {
   auto policy = MakePolicy(policy_name, profiling_oracle);
   ClusterExperiment experiment(options, policy.get());
 
+  perf::AllocStats allocs_before = perf::ReadAllocStats();
   WallTimer timer;
   ExperimentResult result = experiment.Run();
   double wall_ms = timer.ElapsedMs();
@@ -130,7 +132,7 @@ Record RunOne(const Preset& preset, const std::string& policy_name) {
   record.policy = policy_name;
   record.wall_ms = wall_ms;
   record.sim_ms = experiment.SimNowMs();
-  record.report = perf::PerfReport::FromCollector(collector);
+  record.report = perf::PerfReport::FromCollector(collector, allocs_before);
   record.events_fired = record.report.CounterValue("sim.events_fired");
   record.events_scheduled = record.report.CounterValue("sim.events_scheduled");
   record.events_cancelled = record.report.CounterValue("sim.events_cancelled");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/float_eq.h"
@@ -18,12 +17,30 @@ QpsMonitor::QpsMonitor(Options options) : options_(options) {
   MUDI_CHECK_GT(options_.latency_window, 0u);
 }
 
-void QpsMonitor::EvictOld(TimeMs now) {
-  while (!arrivals_.empty() && arrivals_.front().first < now - options_.window_ms) {
-    arrivals_in_window_ -= arrivals_.front().second;
-    arrivals_.pop_front();
+void QpsMonitor::GrowArrivals() {
+  std::vector<std::pair<TimeMs, double>> grown(arrivals_.empty() ? 16 : 2 * arrivals_.size());
+  for (size_t i = 0; i < arrivals_size_; ++i) {
+    grown[i] = arrivals_[(arrivals_head_ + i) & (arrivals_.size() - 1)];
   }
-  if (arrivals_.empty()) {
+  arrivals_.swap(grown);
+  arrivals_head_ = 0;
+}
+
+void QpsMonitor::GrowLatencies(double latency_ms, double weight) {
+  latencies_.emplace_back(latency_ms, weight);
+}
+
+// MUDI_HOT_PATH  the per-sample methods run once per arrival cohort, per
+// served cohort and per monitor read; once the rings have grown to their
+// peak they allocate nothing (perf_test's alloc-hook proof).
+void QpsMonitor::EvictOld(TimeMs now) {
+  const size_t mask = arrivals_.size() - 1;
+  while (arrivals_size_ > 0 && arrivals_[arrivals_head_].first < now - options_.window_ms) {
+    arrivals_in_window_ -= arrivals_[arrivals_head_].second;
+    arrivals_head_ = (arrivals_head_ + 1) & mask;
+    --arrivals_size_;
+  }
+  if (arrivals_size_ == 0) {
     arrivals_in_window_ = 0.0;
   }
 }
@@ -33,7 +50,11 @@ void QpsMonitor::RecordArrivals(TimeMs now, double count) {
   if (feedback_lost_) {
     return;  // Samples from the device never reach the monitor.
   }
-  arrivals_.emplace_back(now, count);
+  if (arrivals_size_ == arrivals_.size()) {
+    GrowArrivals();
+  }
+  arrivals_[(arrivals_head_ + arrivals_size_) & (arrivals_.size() - 1)] = {now, count};
+  ++arrivals_size_;
   arrivals_in_window_ += count;
   EvictOld(now);
 }
@@ -43,10 +64,14 @@ void QpsMonitor::RecordLatency(double latency_ms, double weight) {
   if (ExactEq(weight, 0.0) || feedback_lost_) {
     return;
   }
-  if (latencies_.size() == options_.latency_window) {
-    latencies_.pop_front();
+  if (latencies_.size() < options_.latency_window) {
+    GrowLatencies(latency_ms, weight);
+    return;
   }
-  latencies_.emplace_back(latency_ms, weight);
+  latencies_[latencies_head_] = {latency_ms, weight};
+  if (++latencies_head_ == latencies_.size()) {
+    latencies_head_ = 0;
+  }
 }
 
 double QpsMonitor::CurrentQps(TimeMs now) {
@@ -56,6 +81,18 @@ double QpsMonitor::CurrentQps(TimeMs now) {
   EvictOld(now);
   return arrivals_in_window_ / options_.window_ms * kMsPerSecond;
 }
+
+double QpsMonitor::P99LatencyMs(std::vector<WeightedSample>* scratch) const {
+  // Sorting a copy of the same multiset gives the same sequence (and so the
+  // same summation order) whatever the ring's rotation.
+  scratch->assign(latencies_.begin(), latencies_.end());
+  return WeightedP99(scratch);
+}
+
+bool QpsMonitor::P99ExceedsMs(double threshold_ms, std::vector<WeightedSample>* scratch) const {
+  return AnyValueAbove(latencies_, threshold_ms) && P99LatencyMs(scratch) > threshold_ms;
+}
+// MUDI_HOT_PATH_END
 
 bool QpsMonitor::QpsChangedBeyondThreshold(TimeMs now) {
   if (feedback_lost_ || now < stale_until_ms_) {
@@ -82,9 +119,11 @@ void QpsMonitor::SetFeedbackLost(bool lost, TimeMs now) {
     feedback_lost_ = false;
     // Whatever survived in the window predates the outage; drop it and keep
     // serving the frozen value until a full window of fresh samples exists.
-    arrivals_.clear();
+    arrivals_head_ = 0;
+    arrivals_size_ = 0;
     arrivals_in_window_ = 0.0;
     latencies_.clear();
+    latencies_head_ = 0;
     stale_until_ms_ = now + options_.window_ms;
   }
 }
@@ -110,27 +149,6 @@ void QpsMonitor::AckQpsChange(TimeMs now) {
                        telemetry::TraceArgs{telemetry::TraceArg::Num("qps", base_qps_),
                                             telemetry::TraceArg::Num("prev_qps", previous)});
   }
-}
-
-double QpsMonitor::P99LatencyMs() const {
-  if (latencies_.empty()) {
-    return 0.0;
-  }
-  std::vector<std::pair<double, double>> sorted(latencies_.begin(), latencies_.end());
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    total += w;
-  }
-  double target = 0.99 * total;
-  double cum = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    cum += w;
-    if (cum >= target) {
-      return lat;
-    }
-  }
-  return sorted.back().first;
 }
 
 }  // namespace mudi

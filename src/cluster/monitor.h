@@ -4,13 +4,17 @@
 // on one device. Reports when the QPS change since the last tuning trigger
 // exceeds the threshold (50%, §5.3.2) so the Tuner can re-scale resources,
 // and exposes windowed weighted P99 for SLO-risk detection.
+//
+// Both windows are ring buffers over vectors that only ever grow, so once a
+// monitor has seen its peak window the per-sample methods allocate nothing.
 #ifndef SRC_CLUSTER_MONITOR_H_
 #define SRC_CLUSTER_MONITOR_H_
 
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
+#include "src/common/stats.h"
 #include "src/sim/simulator.h"
 
 namespace mudi {
@@ -47,7 +51,13 @@ class QpsMonitor {
   double base_qps() const { return base_qps_; }
 
   // Weighted P99 latency over the trailing cohort window; 0 with no samples.
-  double P99LatencyMs() const;
+  // The window is copied into `*scratch` and sorted there: one buffer kept
+  // by the caller serves every monitor it reads.
+  double P99LatencyMs(std::vector<WeightedSample>* scratch) const;
+  // P99LatencyMs(scratch) > threshold_ms. The P99 is one of the window's
+  // latencies, so a window with none above the threshold is answered
+  // without the copy and sort.
+  bool P99ExceedsMs(double threshold_ms, std::vector<WeightedSample>* scratch) const;
   bool has_latency_samples() const { return !latencies_.empty(); }
 
   // --- feedback loss (fault injection) ---
@@ -68,14 +78,26 @@ class QpsMonitor {
 
  private:
   void EvictOld(TimeMs now);
+  // Doubles the arrivals ring (it is full), keeping the cohorts in order.
+  void GrowArrivals();
+  // Appends to the latency window while it is below `latency_window`.
+  void GrowLatencies(double latency_ms, double weight);
 
   Telemetry* telemetry_ = nullptr;
   int device_id_ = -1;
   Options options_;
-  std::deque<std::pair<TimeMs, double>> arrivals_;  // (time, count) cohorts
+  // Arrivals ring: (time, count) cohorts, oldest at arrivals_head_. The
+  // vector's size is the ring capacity, 0 or a power of two.
+  std::vector<std::pair<TimeMs, double>> arrivals_;
+  size_t arrivals_head_ = 0;
+  size_t arrivals_size_ = 0;
   double arrivals_in_window_ = 0.0;
   double base_qps_ = -1.0;  // rate at last Ack; <0 until first Ack
-  std::deque<std::pair<double, double>> latencies_;  // (latency, weight)
+  // Latency window: (latency, weight) samples. It grows up to
+  // latency_window; from then on latencies_head_ is the oldest sample, the
+  // next one overwritten.
+  std::vector<WeightedSample> latencies_;
+  size_t latencies_head_ = 0;
   bool feedback_lost_ = false;
   double frozen_qps_ = 0.0;       // CurrentQps captured when feedback was lost
   TimeMs frozen_at_ms_ = -1.0;    // when the frozen value was last fresh

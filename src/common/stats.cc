@@ -50,6 +50,31 @@ double Percentile(std::vector<double> values, double p) {
   return PercentileSorted(values, p);
 }
 
+double WeightedP99(std::vector<WeightedSample>* samples) {
+  if (samples->empty()) {
+    return 0.0;
+  }
+  std::sort(samples->begin(), samples->end());
+  double total = 0.0;
+  for (const auto& [value, w] : *samples) {
+    total += w;
+  }
+  double target = 0.99 * total;
+  double cum = 0.0;
+  for (const auto& [value, w] : *samples) {
+    cum += w;
+    if (cum >= target) {
+      return value;
+    }
+  }
+  return samples->back().first;
+}
+
+bool AnyValueAbove(const std::vector<WeightedSample>& samples, double threshold) {
+  return std::any_of(samples.begin(), samples.end(),
+                     [threshold](const WeightedSample& s) { return s.first > threshold; });
+}
+
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, size_t num_points) {
   std::vector<CdfPoint> cdf;
   if (values.empty()) {

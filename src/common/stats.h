@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <utility>
 #include <vector>
 
 namespace mudi {
@@ -20,6 +21,19 @@ double Percentile(std::vector<double> values, double p);
 
 // Percentile over data the caller has already sorted ascending.
 double PercentileSorted(const std::vector<double>& sorted, double p);
+
+// A (value, weight) sample: a latency shared by `weight` requests.
+using WeightedSample = std::pair<double, double>;
+
+// Weighted P99: the smallest value whose cumulative weight reaches 99% of
+// the total; 0 for no samples. Sorts `*samples` in place (ascending), so a
+// caller that keeps the window reuses its own buffer and no copy is made.
+double WeightedP99(std::vector<WeightedSample>* samples);
+
+// True when some sample's value exceeds `threshold`. The weighted P99 is one
+// of the values, so WeightedP99 can exceed a threshold only when this holds:
+// a caller that needs just that comparison skips the sort when it fails.
+bool AnyValueAbove(const std::vector<WeightedSample>& samples, double threshold);
 
 // Empirical CDF evaluated at a fixed number of points, for plotting/reporting.
 struct CdfPoint {

@@ -149,7 +149,7 @@ double ClusterExperiment::MeasuredQps(int device_id) {
 
 double ClusterExperiment::MeasuredP99(int device_id) {
   return replay::RecordFeedbackRead(options_.recorder, sim_.Now(), device_id, /*is_p99=*/true,
-                                    serving_.monitor(device_id).P99LatencyMs());
+                                    serving_.P99LatencyMs(device_id));
 }
 
 double ClusterExperiment::ProbeInferenceLatencyMs(int device_id, int batch,
@@ -552,8 +552,9 @@ void ClusterExperiment::UpdateTrainingSpeeds(int device_id) {
       continue;
     }
     const TrainingTaskSpec& spec = tasks[instance.type_index];
+    ActiveColocation(dev, instance.task_id, &colocated_);
     double iter = oracle_.TrainingIterationMs(spec, std::clamp(instance.gpu_fraction, 0.02, 1.0),
-                                              load, ActiveColocation(dev, instance.task_id)) *
+                                              load, colocated_) *
                   SwapSlowdownFactor(instance) / dev.EffectiveComputeScale();
     running.speed = spec.iter_ms_full / iter;
     MUDI_CHECK_GT(running.speed, 0.0);
@@ -614,8 +615,6 @@ void ClusterExperiment::MonitorTick() {
     }
     QpsMonitor& monitor = serving_.monitor(static_cast<int>(d));
     bool qps_trigger = monitor.QpsChangedBeyondThreshold(sim_.Now());
-    bool slo_risk = monitor.has_latency_samples() &&
-                    monitor.P99LatencyMs() > 0.9 * ServiceOnDevice(static_cast<int>(d)).slo_ms;
     // Devices with preemptively paused training (§5.3.2) are re-evaluated on
     // every tick: "until suitable resources become available" requires an
     // active check, not just a QPS-change edge trigger.
@@ -624,7 +623,12 @@ void ClusterExperiment::MonitorTick() {
       has_paused |= t.paused;
     }
     bool stale = sim_.Now() - last_retune_ms_[d] >= options_.periodic_retune_ms;
-    if (qps_trigger || slo_risk || has_paused || stale) {
+    // SLO risk is judged last: the P99 read sorts the latency window, and it
+    // matters only when no other trigger fired. The read is const and,
+    // being harness-internal, unrecorded, so skipping it changes nothing.
+    if (qps_trigger || has_paused || stale ||
+        serving_.P99ExceedsMs(static_cast<int>(d),
+                              0.9 * ServiceOnDevice(static_cast<int>(d)).slo_ms)) {
       last_retune_ms_[d] = sim_.Now();
       {
         HookScope scope(*this, replay::HookKind::kOnQpsChange, static_cast<int>(d));

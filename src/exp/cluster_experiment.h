@@ -259,6 +259,7 @@ class ClusterExperiment : public SchedulingEnv,
   TimeMs last_completion_ms_ = 0.0;
   TimeMs first_arrival_ms_ = 0.0;
   std::vector<TimeMs> last_retune_ms_;  // per device: last OnQpsChange trigger
+  std::vector<ColocatedTraining> colocated_;  // UpdateTrainingSpeeds' reused buffer
 
   std::vector<UtilSample> util_series_;
   std::vector<DeviceSeriesSample> device_series_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/stats.h"
 #include "src/exp/cluster_experiment.h"
 
 namespace mudi {
@@ -15,27 +16,6 @@ constexpr int kInitialBatch = 64;
 // Queue cap as a multiple of the batching size: beyond it, oldest requests
 // are shed and counted as worst-case latency (overload).
 constexpr double kQueueCapBatches = 50.0;
-
-double WeightedP99(const std::vector<std::pair<double, double>>& samples) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::vector<std::pair<double, double>> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    total += w;
-  }
-  double target = 0.99 * total;
-  double cum = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    cum += w;
-    if (cum >= target) {
-      return lat;
-    }
-  }
-  return sorted.back().first;
-}
 
 }  // namespace
 
@@ -235,15 +215,15 @@ void ServingPlane::TryStartBatch(int device_id) {
     r.timeout_event = Simulator::kInvalidEventId;
   }
 
-  // Form the batch FIFO from cohorts.
+  // Form the batch FIFO from cohorts, straight into the in-flight record.
   double want = std::min(r.queued, static_cast<double>(target_batch));
   int actual = std::max(1, static_cast<int>(std::lround(want)));
-  std::vector<std::pair<TimeMs, double>> consumed;
+  r.inflight.clear();
   double remaining = static_cast<double>(actual);
   while (remaining > 1e-9 && !r.queue.empty()) {
     Cohort& front = r.queue.front();
     double take = std::min(front.count, remaining);
-    consumed.emplace_back(front.arrival_ms, take);
+    r.inflight.emplace_back(front.arrival_ms, take);
     front.count -= take;
     r.queued -= take;
     remaining -= take;
@@ -252,31 +232,27 @@ void ServingPlane::TryStartBatch(int device_id) {
     }
   }
 
+  ActiveColocation(dev, /*skip_task_id=*/-1, &colocated_);
   double latency = oracle_
                        .ObserveInferenceBatchLatency(Service(device_id), actual,
-                                                     dev.inference().gpu_fraction,
-                                                     ActiveColocation(dev), rng_)
+                                                     dev.inference().gpu_fraction, colocated_,
+                                                     rng_)
                        .total_ms() /
                    dev.EffectiveComputeScale();
   r.busy = true;
   r.busy_start = now;
-  r.inflight = consumed;
-  r.batch_event =
-      sim_.ScheduleAfter(latency, [this, device_id, latency, consumed = std::move(consumed)] {
-        FinishBatch(device_id, latency, consumed);
-      });
+  r.batch_event = sim_.ScheduleAfter(
+      latency, [this, device_id, latency] { FinishBatch(device_id, latency); });
 }
 
-void ServingPlane::FinishBatch(int device_id, double latency_ms,
-                               std::vector<std::pair<TimeMs, double>> consumed) {
+void ServingPlane::FinishBatch(int device_id, double latency_ms) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
   TimeMs now = sim_.Now();
   r.busy = false;
   r.batch_event = Simulator::kInvalidEventId;
-  r.inflight.clear();
   r.busy_accum_ms += now - r.busy_start;
   double batch_requests = 0.0;
-  for (const auto& [arrival, count] : consumed) {
+  for (const auto& [arrival, count] : r.inflight) {
     // End-to-end latency = queueing + batch service time.
     double e2e = now - arrival;
     r.window_latencies.emplace_back(e2e, count);
@@ -285,6 +261,7 @@ void ServingPlane::FinishBatch(int device_id, double latency_ms,
     r.served += count;
     batch_requests += count;
   }
+  r.inflight.clear();
   if (telemetry_.enabled()) {
     auto& metrics = telemetry_.metrics();
     metrics.GetCounter("serving.batches").Increment();
@@ -307,9 +284,16 @@ void ServingPlane::CloseSloWindow(int device_id) {
   if (r.window_latencies.empty()) {
     return;  // idle window: nothing to judge
   }
-  double p99 = WeightedP99(r.window_latencies);
   ++r.windows_total;
-  bool violated = p99 > Service(device_id).slo_ms;
+  // The window is cleared below, so the P99 sorts it in place. A window
+  // with no latency above the SLO cannot violate it and is not sorted.
+  double slo_ms = Service(device_id).slo_ms;
+  double p99 = 0.0;
+  bool violated = false;
+  if (AnyValueAbove(r.window_latencies, slo_ms)) {
+    p99 = WeightedP99(&r.window_latencies);
+    violated = p99 > slo_ms;
+  }
   if (violated) {
     ++r.windows_violated;
     if (tainted) {
@@ -326,7 +310,7 @@ void ServingPlane::CloseSloWindow(int device_id) {
       MUDI_TRACE_INSTANT(&telemetry_, "slo", "window_violation", device_id, sim_.Now(),
                          telemetry::TraceArgs{
                              telemetry::TraceArg::Num("p99_ms", p99),
-                             telemetry::TraceArg::Num("slo_ms", Service(device_id).slo_ms),
+                             telemetry::TraceArg::Num("slo_ms", slo_ms),
                              telemetry::TraceArg::Num("failure_attributed", tainted ? 1.0 : 0.0)});
     }
   }

@@ -19,6 +19,7 @@
 #include "src/cluster/cluster_state.h"
 #include "src/cluster/monitor.h"
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/exp/metrics.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/sim/simulator.h"
@@ -66,6 +67,11 @@ class ServingPlane {
   double Collect(ExperimentResult& result);
 
   QpsMonitor& monitor(int device_id) { return replicas_[static_cast<size_t>(device_id)].monitor; }
+  // The replica monitor's weighted P99, sorted in the plane's one buffer.
+  double P99LatencyMs(int device_id) { return monitor(device_id).P99LatencyMs(&p99_scratch_); }
+  bool P99ExceedsMs(int device_id, double threshold_ms) {
+    return monitor(device_id).P99ExceedsMs(threshold_ms, &p99_scratch_);
+  }
 
  private:
   struct Cohort {
@@ -96,7 +102,7 @@ class ServingPlane {
     Simulator::EventId failover_event = Simulator::kInvalidEventId;
     size_t reroute_cursor = 0;  // deterministic round-robin over survivors
     // SLO window accounting.
-    std::vector<std::pair<double, double>> window_latencies;  // (latency, weight)
+    std::vector<WeightedSample> window_latencies;  // (latency, weight)
     // Failure touched this window (failed/re-routed requests landed in it):
     // a violation is attributed to the fault, not to load.
     bool window_failure_tainted = false;
@@ -114,8 +120,8 @@ class ServingPlane {
   void ScheduleServing(int device_id, TimeMs start);
   void ArrivalTick(int device_id);
   void TryStartBatch(int device_id);
-  void FinishBatch(int device_id, double latency_ms,
-                   std::vector<std::pair<TimeMs, double>> consumed);
+  // Completes the replica's in-flight batch (Replica::inflight).
+  void FinishBatch(int device_id, double latency_ms);
   TimeMs WaitTimeoutMs(int device_id) const;
   TimeMs ArrivalTickMs(int device_id) const;
   // Judges the replica's open SLO window (no-op when it saw no request).
@@ -134,6 +140,10 @@ class ServingPlane {
   Telemetry& telemetry_;
   Listener& listener_;
   std::vector<Replica> replicas_;
+  // Reused buffers: the colocation of the batch being started, and the
+  // latency window being sorted for a P99 read.
+  std::vector<ColocatedTraining> colocated_;
+  std::vector<WeightedSample> p99_scratch_;
   double failed_requests_ = 0.0;
   double rerouted_requests_ = 0.0;
 };

@@ -263,15 +263,15 @@ double PerfOracle::ObserveTrainingIterationMs(
   return iter;
 }
 
-std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev, int skip_task_id) {
+void ActiveColocation(const GpuDevice& dev, int skip_task_id,
+                      std::vector<ColocatedTraining>* out) {
   const auto& tasks = ModelZoo::TrainingTasks();
-  std::vector<ColocatedTraining> out;
+  out->clear();
   for (const TrainingInstance& t : dev.trainings()) {
     if (!t.paused && t.task_id != skip_task_id) {
-      out.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
+      out->push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
     }
   }
-  return out;
 }
 
 }  // namespace mudi

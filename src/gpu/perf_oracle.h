@@ -50,9 +50,12 @@ struct ColocatedTraining {
   double gpu_fraction = 0.0;  // GPU share allocated to this training task
 };
 
-// The device's unpaused trainings other than `skip_task_id`, in residency
-// order: the co-location an oracle query on that device sees.
-std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev, int skip_task_id = -1);
+// Replaces `*out` with the device's unpaused trainings other than
+// `skip_task_id` (-1 skips none), in residency order: the co-location an
+// oracle query on that device sees. Callers keep `*out` across queries, so
+// its capacity is reused.
+void ActiveColocation(const GpuDevice& dev, int skip_task_id,
+                      std::vector<ColocatedTraining>* out);
 
 // The inference side's load, as needed to compute the pressure it exerts.
 struct InferenceLoad {

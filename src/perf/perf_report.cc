@@ -39,7 +39,8 @@ void BuildMetadata::WriteJson(std::ostream& os) const {
   os << ",\"tracing_compiled_in\":" << (tracing_compiled_in ? "true" : "false") << "}";
 }
 
-PerfReport PerfReport::FromCollector(const PerfCollector& collector) {
+PerfReport PerfReport::FromCollector(const PerfCollector& collector,
+                                     const AllocStats& allocs_before) {
   PerfReport report;
   for (const auto& [name, stat] : collector.regions()) {
     RegionSummary summary;
@@ -58,7 +59,7 @@ PerfReport PerfReport::FromCollector(const PerfCollector& collector) {
     report.counters.emplace_back(name, value);
   }
   report.memory = ReadMemoryUsage();
-  report.allocs = ReadAllocStats();
+  report.allocs = AllocStatsSince(allocs_before);
   return report;
 }
 

@@ -44,10 +44,13 @@ struct PerfReport {
   std::vector<RegionSummary> regions;                    // name-sorted
   std::vector<std::pair<std::string, uint64_t>> counters;  // name-sorted
   MemoryUsage memory;
-  AllocStats allocs;
+  AllocStats allocs;  // allocations since the caller's `allocs_before`
 
-  // Snapshots the collector and samples the memory/alloc probes.
-  static PerfReport FromCollector(const PerfCollector& collector);
+  // Snapshots the collector and samples the memory probe; `allocs` counts
+  // the allocations made since `allocs_before` (ReadAllocStats() taken
+  // before the run), so it describes this run, not the whole process.
+  static PerfReport FromCollector(const PerfCollector& collector,
+                                  const AllocStats& allocs_before);
 
   const RegionSummary* FindRegion(const std::string& name) const;
   uint64_t CounterValue(const std::string& name) const;  // 0 when absent

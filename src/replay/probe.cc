@@ -10,10 +10,10 @@ namespace replay {
 
 double Prober::Inference(const GpuDevice& dev, int batch, double gpu_fraction, double sim_ms) {
   const size_t service = dev.inference().service_index;
-  std::vector<ColocatedTraining> colocated = ActiveColocation(dev);
+  ActiveColocation(dev, /*skip_task_id=*/-1, &colocated_);
   uint64_t key = 0;
   if (source_ != nullptr || recorder_ != nullptr) {
-    key = InferenceProbeKey(static_cast<uint32_t>(service), batch, gpu_fraction, colocated,
+    key = InferenceProbeKey(static_cast<uint32_t>(service), batch, gpu_fraction, colocated_,
                             dev.EffectiveComputeScale());
     if (source_ != nullptr) {
       if (auto recorded = source_->TakeObservation(key)) {
@@ -23,7 +23,7 @@ double Prober::Inference(const GpuDevice& dev, int batch, double gpu_fraction, d
   }
   double lat = oracle_
                    .ObserveInferenceBatchLatency(ModelZoo::InferenceServices()[service], batch,
-                                                 gpu_fraction, colocated, rng_)
+                                                 gpu_fraction, colocated_, rng_)
                    .total_ms() /
                dev.EffectiveComputeScale();
   if (recorder_ != nullptr) {
@@ -56,12 +56,12 @@ double Prober::Training(const GpuDevice& dev, int task_id, double train_fraction
   }
   double swap_factor = SwapSlowdownFactor(hypothetical);
 
-  std::vector<ColocatedTraining> others = ActiveColocation(dev, task_id);
+  ActiveColocation(dev, task_id, &colocated_);
   uint64_t key = 0;
   if (source_ != nullptr || recorder_ != nullptr) {
     key = TrainingProbeKey(static_cast<uint32_t>(instance->type_index), clamped,
                            static_cast<uint32_t>(service), load.batch_size, load.gpu_fraction,
-                           load.qps, others, swap_factor, dev.EffectiveComputeScale());
+                           load.qps, colocated_, swap_factor, dev.EffectiveComputeScale());
     if (source_ != nullptr) {
       if (auto recorded = source_->TakeObservation(key)) {
         return *recorded;
@@ -69,7 +69,7 @@ double Prober::Training(const GpuDevice& dev, int task_id, double train_fraction
     }
   }
   double iter = oracle_.ObserveTrainingIterationMs(ModelZoo::TrainingTasks()[instance->type_index],
-                                                   clamped, load, others, rng_);
+                                                   clamped, load, colocated_, rng_);
   double result = iter * swap_factor / dev.EffectiveComputeScale();
   if (recorder_ != nullptr) {
     recorder_->RecordObservation(ObsKind::kProbeTraining, sim_ms, dev.id(), key, result);

@@ -7,6 +7,8 @@
 #ifndef SRC_REPLAY_PROBE_H_
 #define SRC_REPLAY_PROBE_H_
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/gpu/gpu_device.h"
 #include "src/gpu/perf_oracle.h"
@@ -42,6 +44,7 @@ class Prober {
   Rng& rng_;
   ReplaySource* source_;
   DecisionRecorder* recorder_;
+  std::vector<ColocatedTraining> colocated_;  // the probed device's, reused
 };
 
 }  // namespace replay

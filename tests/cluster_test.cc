@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_state.h"
 #include "src/cluster/kv_store.h"
+#include "src/common/float_eq.h"
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/sim/simulator.h"
 #include "src/cluster/monitor.h"
 #include "src/cluster/policy.h"
@@ -418,16 +424,18 @@ TEST(QpsMonitorTest, FiftyPercentThreshold) {
 TEST(QpsMonitorTest, P99LatencyWeighted) {
   // P99 = smallest latency whose cumulative weight reaches 99% of the total.
   QpsMonitor monitor;
+  std::vector<WeightedSample> scratch;
   monitor.RecordLatency(10.0, 98.0);
   monitor.RecordLatency(100.0, 2.0);
-  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(), 100.0);  // cum(10) = 98% < 99%
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 100.0);  // cum(10) = 98% < 99%
   monitor.RecordLatency(10.0, 1000.0);
-  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(), 10.0);  // cum(10) = 99.8%
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 10.0);  // cum(10) = 99.8%
 }
 
 TEST(QpsMonitorTest, P99EmptyIsZero) {
   QpsMonitor monitor;
-  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(), 0.0);
+  std::vector<WeightedSample> scratch;
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 0.0);
   EXPECT_FALSE(monitor.has_latency_samples());
 }
 
@@ -442,7 +450,190 @@ TEST(QpsMonitorTest, LatencyWindowBounded) {
     monitor.RecordLatency(1.0, 1.0);
   }
   // Old high latencies fully evicted.
-  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(), 1.0);
+  std::vector<WeightedSample> scratch;
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 1.0);
+}
+
+TEST(QpsMonitorTest, LatencyRingWrapsAtTheWindow) {
+  QpsMonitor::Options options;
+  options.latency_window = 4;
+  QpsMonitor monitor(options);
+  std::vector<WeightedSample> scratch;
+  // 1..4 fill the window; 5 and 6 overwrite 1 and 2.
+  for (int i = 1; i <= 6; ++i) {
+    monitor.RecordLatency(static_cast<double>(i), 1.0);
+  }
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 6.0);
+  ASSERT_EQ(scratch.size(), 4u);  // the window stays at latency_window
+  EXPECT_DOUBLE_EQ(scratch.front().first, 3.0);
+  EXPECT_DOUBLE_EQ(scratch.back().first, 6.0);
+  // One heavy sample dominates until four newer ones push it out.
+  monitor.RecordLatency(0.5, 1000.0);
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 0.5);
+  for (int i = 0; i < 3; ++i) {
+    monitor.RecordLatency(2.0, 1.0);
+  }
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 0.5);
+  monitor.RecordLatency(2.0, 1.0);
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 2.0);
+}
+
+TEST(QpsMonitorTest, ArrivalsRingGrowsAndEvictsInOrder) {
+  QpsMonitor::Options options;
+  options.window_ms = 100.0;
+  QpsMonitor monitor(options);
+  // Sparse phase: cohorts of 1..12 requests 10 ms apart (t = 0..110). The
+  // one at t = 0 has left the window, so the ring's oldest slot moved on.
+  for (int i = 0; i < 12; ++i) {
+    monitor.RecordArrivals(10.0 * i, static_cast<double>(i + 1));
+  }
+  // Dense phase: 60 cohorts of 100, 0.5 ms apart (t = 110.5..140). The ring
+  // wraps and then grows past its first capacity twice, with its oldest
+  // cohort away from slot 0.
+  for (int j = 1; j <= 60; ++j) {
+    monitor.RecordArrivals(110.0 + 0.5 * j, 100.0);
+  }
+  // At t = 140 the cohorts before t = 40 (1..4 requests) are gone.
+  EXPECT_DOUBLE_EQ(monitor.CurrentQps(140.0), (68.0 + 6000.0) / 100.0 * kMsPerSecond);
+  // At t = 215.2 the sparse phase and the dense cohorts up to t = 115 are gone.
+  EXPECT_DOUBLE_EQ(monitor.CurrentQps(215.2), 5000.0 / 100.0 * kMsPerSecond);
+  EXPECT_DOUBLE_EQ(monitor.CurrentQps(1000.0), 0.0);
+}
+
+TEST(QpsMonitorTest, RingsAreReusedAfterFeedbackRestore) {
+  QpsMonitor::Options options;
+  options.window_ms = 100.0;
+  options.latency_window = 8;
+  QpsMonitor monitor(options);
+  std::vector<WeightedSample> scratch;
+  for (int i = 0; i < 50; ++i) {
+    monitor.RecordArrivals(static_cast<double>(i), 10.0);
+    monitor.RecordLatency(1000.0, 1.0);
+  }
+  monitor.SetFeedbackLost(true, 50.0);
+  monitor.SetFeedbackLost(false, 60.0);
+  EXPECT_FALSE(monitor.has_latency_samples());
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 0.0);
+  // Fresh samples only: nothing recorded before the outage survives.
+  for (int i = 0; i < 3; ++i) {
+    monitor.RecordArrivals(170.0 + i, 1.0);
+    monitor.RecordLatency(5.0, 1.0);
+  }
+  EXPECT_DOUBLE_EQ(monitor.CurrentQps(172.0), 3.0 / 100.0 * kMsPerSecond);
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 5.0);
+  EXPECT_EQ(scratch.size(), 3u);
+  // The latency ring refills to the window and wraps again.
+  for (int i = 0; i < 20; ++i) {
+    monitor.RecordLatency(7.0, 1.0);
+  }
+  EXPECT_DOUBLE_EQ(monitor.P99LatencyMs(&scratch), 7.0);
+  EXPECT_EQ(scratch.size(), 8u);
+}
+
+// Reference monitor: both windows as deques and a copy-and-sort P99. The
+// rings, and the P99 threshold test, must reproduce it bit for bit.
+class ReferenceMonitor {
+ public:
+  explicit ReferenceMonitor(QpsMonitor::Options options) : options_(options) {}
+
+  void RecordArrivals(TimeMs now, double count) {
+    arrivals_.emplace_back(now, count);
+    arrivals_in_window_ += count;
+    EvictOld(now);
+  }
+  void RecordLatency(double latency_ms, double weight) {
+    if (ExactEq(weight, 0.0)) {
+      return;
+    }
+    if (latencies_.size() == options_.latency_window) {
+      latencies_.pop_front();
+    }
+    latencies_.emplace_back(latency_ms, weight);
+  }
+  double CurrentQps(TimeMs now) {
+    EvictOld(now);
+    return arrivals_in_window_ / options_.window_ms * kMsPerSecond;
+  }
+  double P99LatencyMs() const {
+    if (latencies_.empty()) {
+      return 0.0;
+    }
+    std::vector<std::pair<double, double>> sorted(latencies_.begin(), latencies_.end());
+    std::sort(sorted.begin(), sorted.end());
+    double total = 0.0;
+    for (const auto& [lat, w] : sorted) {
+      total += w;
+    }
+    double target = 0.99 * total;
+    double cum = 0.0;
+    for (const auto& [lat, w] : sorted) {
+      cum += w;
+      if (cum >= target) {
+        return lat;
+      }
+    }
+    return sorted.back().first;
+  }
+
+ private:
+  void EvictOld(TimeMs now) {
+    while (!arrivals_.empty() && arrivals_.front().first < now - options_.window_ms) {
+      arrivals_in_window_ -= arrivals_.front().second;
+      arrivals_.pop_front();
+    }
+    if (arrivals_.empty()) {
+      arrivals_in_window_ = 0.0;
+    }
+  }
+
+  QpsMonitor::Options options_;
+  std::deque<std::pair<TimeMs, double>> arrivals_;
+  double arrivals_in_window_ = 0.0;
+  std::deque<std::pair<double, double>> latencies_;
+};
+
+TEST(QpsMonitorTest, RingsMatchTheDequeReferenceExactly) {
+  QpsMonitor::Options options;
+  options.window_ms = 250.0;
+  options.latency_window = 37;  // not a power of two: wraps off-grid
+  QpsMonitor monitor(options);
+  ReferenceMonitor reference(options);
+  std::vector<WeightedSample> scratch;
+  Rng rng(20251017);
+  TimeMs now = 0.0;
+  size_t reads = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Bursty clock: mostly small steps, sometimes a gap that empties the
+    // arrivals window.
+    now += rng.Uniform() < 0.01 ? rng.Uniform(200.0, 600.0) : rng.Uniform(0.0, 3.0);
+    double pick = rng.Uniform();
+    if (pick < 0.4) {
+      double count = static_cast<double>(rng.Poisson(4.0));
+      monitor.RecordArrivals(now, count);
+      reference.RecordArrivals(now, count);
+    } else if (pick < 0.8) {
+      double latency = std::round(rng.Uniform(1.0, 80.0) * 4.0) / 4.0;  // forces ties
+      double weight = rng.Uniform() < 0.05 ? 0.0 : rng.Uniform(0.5, 20.0);
+      monitor.RecordLatency(latency, weight);
+      reference.RecordLatency(latency, weight);
+    } else if (pick < 0.9) {
+      ASSERT_TRUE(ExactEq(monitor.CurrentQps(now), reference.CurrentQps(now))) << "op " << i;
+      ++reads;
+    } else if (pick < 0.95) {
+      ASSERT_TRUE(ExactEq(monitor.P99LatencyMs(&scratch), reference.P99LatencyMs()))
+          << "op " << i;
+      ++reads;
+    } else {
+      // Thresholds around the window's range, on the grid the latencies use
+      // (so equality with a sample is exercised too).
+      double threshold = std::round(rng.Uniform(0.0, 90.0) * 4.0) / 4.0;
+      ASSERT_EQ(monitor.P99ExceedsMs(threshold, &scratch),
+                reference.P99LatencyMs() > threshold)
+          << "op " << i;
+      ++reads;
+    }
+  }
+  EXPECT_GT(reads, 3000u);
 }
 
 // ---------------------------------------------------------------------------

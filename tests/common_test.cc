@@ -51,6 +51,22 @@ TEST(StatsTest, P99OfUniformSequence) {
   EXPECT_NEAR(Percentile(v, 99.0), 99.01, 0.011);
 }
 
+TEST(StatsTest, WeightedP99SortsTheCallersBufferInPlace) {
+  // cum(5) = 2, cum(7) = 3, cum(9) = 100 >= 0.99 * 100.
+  std::vector<WeightedSample> samples = {{9.0, 97.0}, {5.0, 2.0}, {7.0, 1.0}};
+  EXPECT_DOUBLE_EQ(WeightedP99(&samples), 9.0);
+  EXPECT_EQ(samples, (std::vector<WeightedSample>{{5.0, 2.0}, {7.0, 1.0}, {9.0, 97.0}}));
+  std::vector<WeightedSample> empty;
+  EXPECT_DOUBLE_EQ(WeightedP99(&empty), 0.0);
+}
+
+TEST(StatsTest, AnyValueAboveIsStrict) {
+  std::vector<WeightedSample> samples = {{5.0, 1.0}, {9.0, 1.0}};
+  EXPECT_TRUE(AnyValueAbove(samples, 8.0));
+  EXPECT_FALSE(AnyValueAbove(samples, 9.0));
+  EXPECT_FALSE(AnyValueAbove({}, 0.0));
+}
+
 TEST(StatsTest, EmpiricalCdfMonotone) {
   std::vector<double> v{3.0, 1.0, 2.0, 5.0, 4.0};
   auto cdf = EmpiricalCdf(v, 10);

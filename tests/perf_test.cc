@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/cluster/monitor.h"
+#include "src/common/stats.h"
 #include "src/perf/json_check.h"
 #include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
@@ -234,15 +236,69 @@ TEST(MemProbeTest, SimulatorSteadyStateIsAllocationFree) {
   EXPECT_GT(sink, 0u);
 }
 
+// The monitor's per-sample path (DESIGN.md §16.1) performs ZERO heap
+// allocations once its rings have grown: arrivals land in a power-of-two
+// ring, latencies overwrite the oldest slot of a full window, and the P99
+// read sorts into the caller's buffer. The warm-up runs past the latency
+// window and past the arrivals ring's peak occupancy (a 5 s window of 1 ms
+// cohorts holds 5 000 of them).
+TEST(MemProbeTest, QpsMonitorSteadyStateIsAllocationFree) {
+  QpsMonitor monitor;
+  std::vector<WeightedSample> scratch;
+  double sink = 0.0;
+  auto drive = [&](int first, int rounds) {
+    for (int i = first; i < first + rounds; ++i) {
+      TimeMs now = static_cast<double>(i);
+      monitor.RecordArrivals(now, 1.0 + i % 7);
+      monitor.RecordLatency(10.0 + i % 13, 1.0 + i % 3);
+      sink += monitor.CurrentQps(now);
+      sink += monitor.P99LatencyMs(&scratch);
+      sink += monitor.P99ExceedsMs(20.0, &scratch) ? 1.0 : 0.0;
+    }
+  };
+  drive(0, 10000);
+  AllocStats baseline = ReadAllocStats();
+  if (!baseline.hooked && SanitizerOwnsAllocator()) {
+    GTEST_SKIP() << "sanitizer runtime owns the allocator; alloc hook is inert";
+  }
+  ASSERT_TRUE(baseline.hooked) << "perf_test must link mudi_perf_alloc_hook";
+  drive(10000, 10000);
+  AllocStats delta = AllocStatsSince(baseline);
+  EXPECT_EQ(delta.allocations, 0u);
+  EXPECT_EQ(delta.deallocations, 0u);
+  EXPECT_GT(sink, 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // PerfReport
+
+// `allocs` is the delta since the caller's pre-run snapshot, not the
+// process-cumulative count.
+TEST(PerfReportTest, AllocsCountOnlySinceTheSnapshot) {
+  AllocStats before = ReadAllocStats();
+  if (!before.hooked && SanitizerOwnsAllocator()) {
+    GTEST_SKIP() << "sanitizer runtime owns the allocator; alloc hook is inert";
+  }
+  ASSERT_TRUE(before.hooked);
+  ASSERT_GT(before.allocations, 0u);  // gtest itself has allocated by now
+  {
+    std::vector<double> v(1024, 1.0);
+    EXPECT_EQ(v.size(), 1024u);
+  }
+  PerfCollector collector;
+  PerfReport report = PerfReport::FromCollector(collector, before);
+  EXPECT_TRUE(report.allocs.hooked);
+  EXPECT_GE(report.allocs.allocations, 1u);
+  EXPECT_LT(report.allocs.allocations, before.allocations);
+  EXPECT_GE(report.allocs.bytes_allocated, 1024u * sizeof(double));
+}
 
 TEST(PerfReportTest, SnapshotsRegionsAndCounters) {
   PerfCollector collector;
   collector.RecordValue("region.x", 1.0);
   collector.RecordValue("region.x", 3.0);
   collector.SetCounter("counter.y", 42);
-  PerfReport report = PerfReport::FromCollector(collector);
+  PerfReport report = PerfReport::FromCollector(collector, ReadAllocStats());
   const RegionSummary* region = report.FindRegion("region.x");
   ASSERT_NE(region, nullptr);
   EXPECT_EQ(region->count, 2u);
@@ -257,7 +313,7 @@ TEST(PerfReportTest, JsonRoundTripsThroughTheChecker) {
   PerfCollector collector;
   collector.RecordValue("needs \"escaping\"\n", 1.5);
   collector.SetCounter("events", 9);
-  PerfReport report = PerfReport::FromCollector(collector);
+  PerfReport report = PerfReport::FromCollector(collector, ReadAllocStats());
   StatusOr<JsonValue> doc = ParseJson(report.ToJsonString());
   ASSERT_TRUE(doc.ok()) << doc.status().message();
   const JsonValue* regions = doc->Find("regions");

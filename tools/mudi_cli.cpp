@@ -22,6 +22,7 @@
 #include "src/common/wallclock.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
+#include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
 #include "src/perf/perf_report.h"
 #include "src/replay/decision_recorder.h"
@@ -419,6 +420,7 @@ int main(int argc, char** argv) {
   PerfOracle profiling_oracle(options.oracle_seed);
   auto policy = MakePolicy(args.policy, profiling_oracle);
   ClusterExperiment experiment(options, policy.get());
+  perf::AllocStats allocs_before = perf::ReadAllocStats();
   ExperimentResult result = experiment.Run();
 
   if (recorder != nullptr) {
@@ -440,7 +442,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.perf_report.empty()) {
-    perf::PerfReport report = perf::PerfReport::FromCollector(perf_collector);
+    perf::PerfReport report = perf::PerfReport::FromCollector(perf_collector, allocs_before);
     if (args.perf_report == "-") {
       std::printf("%s\n", report.ToJsonString().c_str());
     } else {
