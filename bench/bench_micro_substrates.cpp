@@ -3,13 +3,16 @@
 // surrogate, and the interference learners. These bound how far the cluster
 // simulation scales (events/sec) and how cheap Mudi's decision math is. The
 // *Fit benchmarks time one learner fit at Initialize's cross-validation shape
-// (24 rows of 12 features); `--benchmark_filter='Fit$'` runs just those.
+// (24 rows of 12 features), and BM_SelectBestModelFit one whole model
+// selection over the 30 rows those folds come from;
+// `--benchmark_filter='Fit$'` runs just those.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/ml/gaussian_process.h"
 #include "src/ml/mlp.h"
+#include "src/ml/model_selection.h"
 #include "src/ml/piecewise_linear.h"
 #include "src/ml/random_forest.h"
 #include "src/sim/simulator.h"
@@ -104,11 +107,13 @@ void BM_RandomForestPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestPredict);
 
-// One fold-sized training set of the Interference Modeler: 24 profiled
-// colocations, 12 features each.
-void MakeFitShapeData(std::vector<std::vector<double>>* x, std::vector<double>* y) {
+// Interference Modeler training data: `rows` profiled colocations, 12
+// features each. 24 rows is one cross-validation fold's training set, 30 the
+// whole sample set it is cut from.
+void MakeFitShapeData(size_t rows, std::vector<std::vector<double>>* x,
+                      std::vector<double>* y) {
   Rng rng(11);
-  for (int i = 0; i < 24; ++i) {
+  for (size_t i = 0; i < rows; ++i) {
     std::vector<double> row(12);
     for (auto& v : row) {
       v = rng.Uniform();
@@ -121,7 +126,7 @@ void MakeFitShapeData(std::vector<std::vector<double>>* x, std::vector<double>* 
 void BM_MlpFit(benchmark::State& state) {
   std::vector<std::vector<double>> x;
   std::vector<double> y;
-  MakeFitShapeData(&x, &y);
+  MakeFitShapeData(24, &x, &y);
   MlpOptions options;
   options.epochs = 300;  // DefaultRegressorZoo's selection-time budget
   for (auto _ : state) {
@@ -135,7 +140,7 @@ BENCHMARK(BM_MlpFit);
 void BM_RandomForestFit(benchmark::State& state) {
   std::vector<std::vector<double>> x;
   std::vector<double> y;
-  MakeFitShapeData(&x, &y);
+  MakeFitShapeData(24, &x, &y);
   for (auto _ : state) {
     RandomForestRegressor model;
     model.Fit(x, y);
@@ -143,6 +148,20 @@ void BM_RandomForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestFit);
+
+// One selection of InterferenceModeler::Fit: 5-fold cross-validation of every
+// learner in the zoo, each bounded by the best error so far, then the refit.
+void BM_SelectBestModelFit(benchmark::State& state) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeFitShapeData(30, &x, &y);
+  const std::vector<RegressorFactory> zoo = DefaultRegressorZoo();
+  for (auto _ : state) {
+    ModelSelectionResult result = SelectBestModel(zoo, x, y);
+    benchmark::DoNotOptimize(result.cv_error);
+  }
+}
+BENCHMARK(BM_SelectBestModelFit);
 
 }  // namespace
 

@@ -17,15 +17,23 @@ namespace mudi {
 
 double KFoldRelativeError(const RegressorFactory& factory,
                           const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y, size_t folds) {
+                          const std::vector<double>& y, size_t folds, double bound) {
   MUDI_CHECK_EQ(x.size(), y.size());
   MUDI_CHECK_GE(x.size(), 2u);
   folds = std::min(folds, x.size());
   MUDI_CHECK_GE(folds, 2u);
+  // Every point lands in exactly one test fold, so the mean is over x.size().
+  const double n = static_cast<double>(x.size());
 
   double total_err = 0.0;
-  size_t total_count = 0;
   for (size_t fold = 0; fold < folds; ++fold) {
+    // Every term is >= 0 and round-to-nearest addition is monotone, so the
+    // full sum is >= this partial one and so is its mean: once the partial
+    // mean reaches `bound`, the remaining folds cannot bring it back under.
+    // A NaN partial compares false, so it runs every fold and never wins.
+    if (total_err / n >= bound) {
+      return total_err / n;
+    }
     std::vector<std::vector<double>> train_x, test_x;
     std::vector<double> train_y, test_y;
     for (size_t i = 0; i < x.size(); ++i) {
@@ -37,20 +45,16 @@ double KFoldRelativeError(const RegressorFactory& factory,
         train_y.push_back(y[i]);
       }
     }
-    if (train_x.empty() || test_x.empty()) {
-      continue;
-    }
+    MUDI_CHECK(!train_x.empty() && !test_x.empty());
     auto model = factory();
     model->Fit(train_x, train_y);
     for (size_t i = 0; i < test_x.size(); ++i) {
       double pred = model->Predict(test_x[i]);
       double denom = std::max(std::abs(test_y[i]), 1e-6);
       total_err += std::abs(pred - test_y[i]) / denom;
-      ++total_count;
     }
   }
-  MUDI_CHECK_GT(total_count, 0u);
-  return total_err / static_cast<double>(total_count);
+  return total_err / n;
 }
 
 std::vector<RegressorFactory> DefaultRegressorZoo() {
@@ -75,7 +79,9 @@ ModelSelectionResult SelectBestModel(const std::vector<RegressorFactory>& factor
   double best_err = std::numeric_limits<double>::infinity();
   const RegressorFactory* best_factory = nullptr;
   for (const auto& factory : factories) {
-    double err = KFoldRelativeError(factory, x, y, folds);
+    // The best error so far bounds every later candidate: one that cannot
+    // beat it under the strict `<` stops cross-validating early.
+    double err = KFoldRelativeError(factory, x, y, folds, best_err);
     if (err < best_err) {
       best_err = err;
       best_factory = &factory;
@@ -114,47 +120,20 @@ std::vector<SharedSelectionResult> SelectBestModelsCached(
     return results;
   }
 
-  // Phase A — cross-validate every (pending task, factory) shard. Shard
-  // order is fixed (task-major), each shard is pure and internally seeded,
-  // and each writes only errors[shard], so the matrix is thread-count
-  // independent.
-  const size_t num_factories = factories.size();
-  std::vector<double> errors(pending.size() * num_factories, 0.0);
-  FitPool::ParallelFor(errors.size(), [&](size_t shard) {
-    const FitTask& task = tasks[pending[shard / num_factories]];
-    errors[shard] =
-        KFoldRelativeError(factories[shard % num_factories], *task.x, *task.y, task.folds);
-  });
-
-  // Phase B — serial winner pick, factory order, strict `<`: byte-for-byte
-  // the SelectBestModel rule, applied to the deterministic error matrix.
-  std::vector<size_t> winner(pending.size(), 0);
-  for (size_t p = 0; p < pending.size(); ++p) {
-    double best_err = std::numeric_limits<double>::infinity();
-    for (size_t f = 0; f < num_factories; ++f) {
-      double err = errors[p * num_factories + f];
-      if (err < best_err) {
-        best_err = err;
-        winner[p] = f;
-      }
-    }
-    results[pending[p]].cv_error = best_err;
-  }
-
-  // Phase C — refit each winner on all data, one shard per pending task.
-  std::vector<std::shared_ptr<const Regressor>> refit(pending.size());
+  // One shard per pending task, each a full SelectBestModel: a pure,
+  // internally-seeded function of its task writing only its own slot.
+  std::vector<ModelSelectionResult> selected(pending.size());
   FitPool::ParallelFor(pending.size(), [&](size_t p) {
     const FitTask& task = tasks[pending[p]];
-    std::unique_ptr<Regressor> model = factories[winner[p]]();
-    model->Fit(*task.x, *task.y);
-    refit[p] = std::shared_ptr<const Regressor>(std::move(model));
+    selected[p] = SelectBestModel(factories, *task.x, *task.y, task.folds);
   });
 
   // Fixed-order reduction + cache fill on the calling thread.
   for (size_t p = 0; p < pending.size(); ++p) {
     size_t i = pending[p];
-    results[i].model = refit[p];
-    results[i].model_name = refit[p]->name();
+    results[i].model = std::move(selected[p].model);
+    results[i].model_name = std::move(selected[p].model_name);
+    results[i].cv_error = selected[p].cv_error;
     auto cached = std::make_shared<CachedFit>();
     cached->model = results[i].model;
     cached->model_name = results[i].model_name;

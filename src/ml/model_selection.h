@@ -4,6 +4,7 @@
 #ifndef SRC_ML_MODEL_SELECTION_H_
 #define SRC_ML_MODEL_SELECTION_H_
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,10 +13,15 @@
 
 namespace mudi {
 
-// Mean |pred − true| / max(|true|, eps) over k-fold CV splits.
+// Mean |pred − true| / max(|true|, eps) over k-fold CV splits. Stops before
+// the next fold's fit once the partial mean (partial sum / x.size()) is
+// already >= `bound` and returns that partial mean: the full mean could only
+// be larger, so a caller rejecting anything >= `bound` loses nothing. A
+// result below `bound` is the full mean, bit for bit.
 double KFoldRelativeError(const RegressorFactory& factory,
                           const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y, size_t folds = 5);
+                          const std::vector<double>& y, size_t folds = 5,
+                          double bound = std::numeric_limits<double>::infinity());
 
 struct ModelSelectionResult {
   std::unique_ptr<Regressor> model;  // refit on all data
@@ -26,7 +32,9 @@ struct ModelSelectionResult {
 // Factories for the default candidate zoo: RF, SVR, kNN, Linear, MLP.
 std::vector<RegressorFactory> DefaultRegressorZoo();
 
-// Cross-validates every factory and returns the winner refit on all data.
+// Cross-validates every factory in order and returns the first one with the
+// strictly lowest error, refit on all data. The best error so far bounds each
+// later factory's KFoldRelativeError.
 ModelSelectionResult SelectBestModel(const std::vector<RegressorFactory>& factories,
                                      const std::vector<std::vector<double>>& x,
                                      const std::vector<double>& y, size_t folds = 5);
@@ -48,12 +56,10 @@ struct SharedSelectionResult {
 
 // Batch counterpart of SelectBestModel: memoized through FitCache and
 // parallelized through FitPool. Tasks already in the cache are returned
-// immediately; the rest are cross-validated one (task, factory) shard at a
-// time across the pool, winners picked serially in factory order with the
-// same strict `<` rule as SelectBestModel, then refit in parallel. Every
-// shard is an internally-seeded pure function of its inputs and every result
-// lands in a pre-sized slot read back in task order, so the returned vector
-// is bit-identical for any MUDI_FIT_THREADS setting.
+// immediately; each of the rest is one pool shard running SelectBestModel.
+// Every shard is an internally-seeded pure function of its task and lands in
+// a pre-sized slot read back in task order, so the returned vector is
+// bit-identical to per-task SelectBestModel for any MUDI_FIT_THREADS setting.
 std::vector<SharedSelectionResult> SelectBestModelsCached(
     const std::vector<RegressorFactory>& factories, const std::vector<FitTask>& tasks);
 

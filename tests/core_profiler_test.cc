@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/interference_modeler.h"
 #include "src/core/latency_profiler.h"
 #include "src/core/online_multiplexer.h"
 #include "src/gpu/perf_oracle.h"
+#include "src/ml/fit_cache.h"
+#include "src/ml/model_selection.h"
+#include "src/workload/models.h"
 
 namespace mudi {
 namespace {
@@ -253,6 +264,89 @@ TEST(CurveParamTest, Names) {
   EXPECT_STREQ(CurveParamName(CurveParam::kK2), "k2");
   EXPECT_STREQ(CurveParamName(CurveParam::kCutoffX), "delta0");
   EXPECT_STREQ(CurveParamName(CurveParam::kCutoffY), "l0");
+}
+
+// The selection Mudi runs on its real offline profile (MudiPolicy defaults:
+// oracle seed 42, default profiler options, the observed training types),
+// checked against a reference kept here: unbounded cross-validation of every
+// learner, strict `<` in factory order. The bounded selection must pick the
+// same learner with the same cv_error bits, and the batch path must equal a
+// per-task SelectBestModel down to the refit model's predictions.
+TEST(ModelSelectionDifferentialTest, BoundedSelectionMatchesUnboundedReference) {
+  PerfOracle oracle(42);
+  LatencyProfiler profiler(oracle);
+  profiler.ProfileAll(ModelZoo::kNumObservedTrainingTypes);
+
+  // The modeler's per-service training sets, rebuilt as AddSample builds them.
+  const size_t num_services = ModelZoo::InferenceServices().size();
+  std::vector<std::vector<std::vector<double>>> x(num_services);
+  std::vector<std::array<std::vector<double>, kNumCurveParams>> y(num_services);
+  for (const auto& [key, curve] : profiler.curves()) {
+    if (key.training_types.empty()) {
+      continue;
+    }
+    NetworkArchitecture cumulative;
+    for (size_t type : key.training_types) {
+      cumulative = cumulative.Plus(ModelZoo::TrainingTasks()[type].arch);
+    }
+    x[key.service_index].push_back(InterferenceModeler::EncodeFeatures(cumulative, key.batch));
+    auto& ys = y[key.service_index];
+    ys[static_cast<size_t>(CurveParam::kK1)].push_back(std::log(std::max(-curve.model.k1, 1e-3)));
+    ys[static_cast<size_t>(CurveParam::kK2)].push_back(std::log(std::max(-curve.model.k2, 1e-3)));
+    ys[static_cast<size_t>(CurveParam::kCutoffX)].push_back(curve.model.x0);
+    ys[static_cast<size_t>(CurveParam::kCutoffY)].push_back(
+        std::log(std::max(curve.model.y0, 1e-3)));
+  }
+
+  FitCache::Global().Clear();  // so Fit really runs the batch selection
+  InterferenceModeler modeler;
+  modeler.AddSamplesFromProfiler(profiler);
+  modeler.Fit();
+
+  const std::vector<RegressorFactory> zoo = DefaultRegressorZoo();
+  size_t selections = 0;
+  for (size_t s = 0; s < num_services; ++s) {
+    if (x[s].size() < 4) {
+      continue;  // the modeler skips these services too
+    }
+    for (size_t p = 0; p < kNumCurveParams; ++p) {
+      const CurveParam param = static_cast<CurveParam>(p);
+      SCOPED_TRACE(testing::Message() << "service " << s << " " << CurveParamName(param));
+      const std::vector<double>& ys = y[s][p];
+
+      double ref_err = std::numeric_limits<double>::infinity();
+      size_t ref = zoo.size();
+      for (size_t f = 0; f < zoo.size(); ++f) {
+        double err = KFoldRelativeError(zoo[f], x[s], ys, 5);
+        if (err < ref_err) {
+          ref_err = err;
+          ref = f;
+        }
+      }
+      ASSERT_LT(ref, zoo.size());
+      const std::string ref_name = zoo[ref]()->name();
+
+      std::shared_ptr<const CachedFit> cached =
+          FitCache::Global().Find(FingerprintSamples(x[s], ys, 5));
+      ASSERT_NE(cached, nullptr) << "rebuilt samples differ from the modeler's";
+      EXPECT_EQ(modeler.SelectedModelName(s, param), ref_name);
+      EXPECT_EQ(cached->model_name, ref_name);
+      EXPECT_EQ(std::bit_cast<uint64_t>(cached->cv_error), std::bit_cast<uint64_t>(ref_err));
+
+      ModelSelectionResult single = SelectBestModel(zoo, x[s], ys, 5);
+      EXPECT_EQ(single.model_name, cached->model_name);
+      EXPECT_EQ(std::bit_cast<uint64_t>(single.cv_error),
+                std::bit_cast<uint64_t>(cached->cv_error));
+      for (const std::vector<double>& row : x[s]) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(single.model->Predict(row)),
+                  std::bit_cast<uint64_t>(cached->model->Predict(row)));
+      }
+      ++selections;
+    }
+  }
+  EXPECT_GT(selections, 0u);
+  EXPECT_EQ(modeler.last_fit_computed(), selections);
+  EXPECT_EQ(modeler.last_fit_cached(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/ml/knn.h"
@@ -169,22 +172,35 @@ TEST(MlpRegressorTest, HandlesScaledTargets) {
   EXPECT_LT(TestError(model, f, 93), 30.0);
 }
 
+// 24 rows of 12 features: the Interference Modeler's selection shape.
+void MakeBitStableDataset(std::vector<std::vector<double>>* x, std::vector<double>* y) {
+  Rng rng(41);
+  x->assign(24, std::vector<double>(12));
+  y->assign(24, 0.0);
+  for (size_t i = 0; i < x->size(); ++i) {
+    std::vector<double>& row = (*x)[i];
+    for (double& v : row) {
+      v = rng.Uniform(0.0, 4.0);
+    }
+    (*y)[i] = 50.0 + 3.0 * row[0] - 2.0 * row[5] * row[7] + std::sin(row[11]) +
+              rng.Normal(0.0, 0.5);
+  }
+}
+
+// Unbounded 5-fold KFoldRelativeError of each DefaultRegressorZoo() learner on
+// MakeBitStableDataset: RF, SVR, kNN, Linear, MLP.
+constexpr uint64_t kCvBits[5] = {0x3fbb28dc487a6049, 0x3fc9a035e9627397, 0x3fc1259343b463ca,
+                                 0x3fae7f48c47abd65, 0x3fb47d5c16c4448e};
+
 // Pins the exact bits of the fit path at the Interference Modeler's shape
 // (24 rows of 12 features, 300 epochs). The determinism tests compare a build
 // with itself; this one fails if any kernel's floating-point arithmetic is
 // reordered, so the constants change only with a deliberate model change.
 // They were captured on x86-64 with glibc's libm (tanh, pow, exp, sin).
 TEST(MlpRegressorTest, FitIsBitStable) {
-  Rng rng(41);
-  std::vector<std::vector<double>> x(24, std::vector<double>(12));
-  std::vector<double> y(24);
-  for (size_t i = 0; i < x.size(); ++i) {
-    for (double& v : x[i]) {
-      v = rng.Uniform(0.0, 4.0);
-    }
-    y[i] = 50.0 + 3.0 * x[i][0] - 2.0 * x[i][5] * x[i][7] + std::sin(x[i][11]) +
-           rng.Normal(0.0, 0.5);
-  }
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
 
   MlpOptions options;
   options.epochs = 300;
@@ -198,9 +214,6 @@ TEST(MlpRegressorTest, FitIsBitStable) {
     EXPECT_EQ(bits, kPredictBits[k]) << "row " << kRows[k] << " bits 0x" << std::hex << bits;
   }
 
-  // RF, SVR, kNN, Linear, MLP.
-  const uint64_t kCvBits[5] = {0x3fbb28dc487a6049, 0x3fc9a035e9627397, 0x3fc1259343b463ca,
-                               0x3fae7f48c47abd65, 0x3fb47d5c16c4448e};
   auto zoo = DefaultRegressorZoo();
   ASSERT_EQ(zoo.size(), 5u);
   for (size_t f = 0; f < zoo.size(); ++f) {
@@ -274,6 +287,147 @@ TEST(ModelSelectionTest, WinnerIsRefitOnAllData) {
 
 TEST(ModelSelectionTest, DefaultZooHasFiveFamilies) {
   EXPECT_EQ(DefaultRegressorZoo().size(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded cross-validation
+// ---------------------------------------------------------------------------
+
+// Wraps `inner` so every model it hands out — one per fold fit — is counted.
+RegressorFactory CountingFactory(RegressorFactory inner, size_t* fits) {
+  return [inner = std::move(inner), fits] {
+    ++*fits;
+    return inner();
+  };
+}
+
+class NanRegressor : public Regressor {
+ public:
+  void Fit(const std::vector<std::vector<double>>&, const std::vector<double>&) override {}
+  double Predict(const std::vector<double>&) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  std::string name() const override { return "NaN"; }
+};
+
+RegressorFactory NanFactory() {
+  return [] { return std::unique_ptr<Regressor>(std::make_unique<NanRegressor>()); };
+}
+
+// Linear: the lowest of kCvBits, so the winner of the FitIsBitStable selection.
+constexpr size_t kCvWinner = 3;
+
+TEST(KFoldBoundTest, BoundJustAboveExactKeepsUnboundedBits) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  auto zoo = DefaultRegressorZoo();
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    double bound = std::nextafter(std::bit_cast<double>(kCvBits[f]),
+                                  std::numeric_limits<double>::infinity());
+    uint64_t bits = std::bit_cast<uint64_t>(KFoldRelativeError(zoo[f], x, y, 5, bound));
+    EXPECT_EQ(bits, kCvBits[f]) << zoo[f]()->name() << " bits 0x" << std::hex << bits;
+  }
+}
+
+TEST(KFoldBoundTest, BoundAtExactIsNotBeaten) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  auto zoo = DefaultRegressorZoo();
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    double bound = std::bit_cast<double>(kCvBits[f]);
+    // A tie must lose to the strict `<` of SelectBestModel.
+    EXPECT_GE(KFoldRelativeError(zoo[f], x, y, 5, bound), bound) << zoo[f]()->name();
+  }
+}
+
+TEST(KFoldBoundTest, BoundFromBetterLearnerSkipsFolds) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  auto zoo = DefaultRegressorZoo();
+  const double bound = std::bit_cast<double>(kCvBits[kCvWinner]);
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    if (f == kCvWinner) {
+      continue;
+    }
+    size_t fits = 0;
+    double err = KFoldRelativeError(CountingFactory(zoo[f], &fits), x, y, 5, bound);
+    EXPECT_GE(err, bound) << zoo[f]()->name();
+    EXPECT_LT(fits, 5u) << zoo[f]()->name();
+  }
+}
+
+TEST(KFoldBoundTest, NanPartialNeverPrunesAndNeverWins) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  size_t fits = 0;
+  double bound = std::bit_cast<double>(kCvBits[kCvWinner]);
+  EXPECT_TRUE(std::isnan(KFoldRelativeError(CountingFactory(NanFactory(), &fits), x, y, 5, bound)));
+  EXPECT_EQ(fits, 5u);
+
+  // Before or after any zoo learner, the NaN candidate loses to it.
+  auto zoo = DefaultRegressorZoo();
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    const std::string name = zoo[f]()->name();
+    for (const auto& candidates : {std::vector<RegressorFactory>{NanFactory(), zoo[f]},
+                                   std::vector<RegressorFactory>{zoo[f], NanFactory()}}) {
+      ModelSelectionResult result = SelectBestModel(candidates, x, y);
+      EXPECT_EQ(result.model_name, name);
+      EXPECT_EQ(std::bit_cast<uint64_t>(result.cv_error), kCvBits[f]) << name;
+    }
+  }
+}
+
+TEST(KFoldBoundTest, SelectionKeepsTheUnboundedWinnerWithFewerFits) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  auto zoo = DefaultRegressorZoo();
+  size_t fits = 0;
+  std::vector<RegressorFactory> counted;
+  for (const RegressorFactory& factory : zoo) {
+    counted.push_back(CountingFactory(factory, &fits));
+  }
+  ModelSelectionResult result = SelectBestModel(counted, x, y);
+  EXPECT_EQ(result.model_name, zoo[kCvWinner]()->name());
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.cv_error), kCvBits[kCvWinner]);
+  // The MLP comes after the winner and cannot beat it, so the bound stops
+  // it early: fewer than every fold of every learner plus the refit.
+  EXPECT_LT(fits, zoo.size() * 5 + 1);
+}
+
+// Delegates to another learner under a different name.
+class RenamedRegressor : public Regressor {
+ public:
+  RenamedRegressor(std::unique_ptr<Regressor> inner, std::string name)
+      : inner_(std::move(inner)), name_(std::move(name)) {}
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) override {
+    inner_->Fit(x, y);
+  }
+  double Predict(const std::vector<double>& x) const override { return inner_->Predict(x); }
+  std::string name() const override { return name_; }
+
+ private:
+  std::unique_ptr<Regressor> inner_;
+  std::string name_;
+};
+
+TEST(KFoldBoundTest, TieGoesToTheEarlierLearner) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeBitStableDataset(&x, &y);
+  auto zoo = DefaultRegressorZoo();
+  for (size_t f = 0; f < zoo.size(); ++f) {
+    RegressorFactory twin = [inner = zoo[f]] {
+      return std::unique_ptr<Regressor>(std::make_unique<RenamedRegressor>(inner(), "twin"));
+    };
+    ModelSelectionResult result = SelectBestModel({zoo[f], twin}, x, y);
+    EXPECT_EQ(result.model_name, zoo[f]()->name());
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.cv_error), kCvBits[f]);
+  }
 }
 
 }  // namespace
