@@ -1,25 +1,29 @@
 // Fig. 18 reproduction: Mudi's computational overheads.
 // (a) CDF of GP-LCB tuning iterations to convergence (paper: over half the
 //     cases within 17 iterations, max 24 physical / 25 simulated, < 1.92 s).
-// (b) Distribution of cluster-wide multiplexing-decision time (placement):
-//     paper: < 18 ms avg 14 ms (physical), < 31 ms avg 19 ms (simulated).
+// (b) Distribution of cluster-wide multiplexing-decision time (placement),
+//     from the harness's `policy.select_device` perf region: paper: < 18 ms
+//     avg 14 ms (physical), < 31 ms avg 19 ms (simulated).
 // Also includes google-benchmark micro-measurements of the two decision
 // paths in isolation.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/core/mudi_policy.h"
+#include "src/perf/perf_collector.h"
 
 namespace {
 
 using namespace mudi;
 
-void ReportOverheads(const char* title, const ExperimentResult& result) {
+// `collector` observed the run: the harness times every SelectDevice call in
+// its `policy.select_device` region.
+void ReportOverheads(const char* title, const ExperimentResult& result,
+                     const perf::PerfCollector& collector) {
   std::printf("== Fig. 18 %s ==\n", title);
   if (!result.tuning_iterations.empty()) {
     std::vector<double> iters(result.tuning_iterations.begin(),
@@ -31,16 +35,14 @@ void ReportOverheads(const char* title, const ExperimentResult& result) {
     std::printf("(a) GP-LCB iterations to convergence (%zu tuning runs):\n%s",
                 iters.size(), cdf.ToString().c_str());
   }
-  if (!result.placement_overheads_ms.empty()) {
-    std::vector<double> overheads = result.placement_overheads_ms;
-    Table dist({"metric", "decision time (ms)"});
-    dist.AddRow({"mean", Table::Num(Mean(overheads), 3)});
-    dist.AddRow({"P50", Table::Num(Percentile(overheads, 50.0), 3)});
-    dist.AddRow({"P99", Table::Num(Percentile(overheads, 99.0), 3)});
-    dist.AddRow({"max", Table::Num(*std::max_element(overheads.begin(), overheads.end()), 3)});
-    std::printf("(b) cluster-wide multiplexing decision time (%zu placements):\n%s\n",
-                overheads.size(), dist.ToString().c_str());
-  }
+  const perf::LatencyStat& decisions = collector.regions().at("policy.select_device");
+  Table dist({"metric", "decision time (ms)"});
+  dist.AddRow({"mean", Table::Num(decisions.mean_ms(), 3)});
+  dist.AddRow({"P50", Table::Num(decisions.Quantile(0.50), 3)});
+  dist.AddRow({"P99", Table::Num(decisions.Quantile(0.99), 3)});
+  dist.AddRow({"max", Table::Num(decisions.max_ms(), 3)});
+  std::printf("(b) cluster-wide multiplexing decision time (%llu placements):\n%s\n",
+              static_cast<unsigned long long>(decisions.count()), dist.ToString().c_str());
 }
 
 // Micro-benchmark: one cluster-wide placement decision (device scoring).
@@ -68,14 +70,18 @@ BENCHMARK(BM_PlacementDecision)->Arg(2)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   {
+    perf::PerfCollector collector;
     ExperimentOptions options = PhysicalClusterOptions(ScaledCount(300));
+    options.perf = &collector;
     auto results = RunSystems(options, {"Mudi"});
-    ReportOverheads("(physical-scale cluster)", results.at("Mudi"));
+    ReportOverheads("(physical-scale cluster)", results.at("Mudi"), collector);
   }
   {
+    perf::PerfCollector collector;
     ExperimentOptions options = SimulatedClusterOptions(ScaledCount(1500));
+    options.perf = &collector;
     auto results = RunSystems(options, {"Mudi"});
-    ReportOverheads("(simulated 1000-GPU cluster)", results.at("Mudi"));
+    ReportOverheads("(simulated 1000-GPU cluster)", results.at("Mudi"), collector);
   }
   std::printf("Paper: >50%% of tunings converge within 17 iterations, all within 25\n"
               "(<1.92 s); decision time <18 ms avg 14 ms (physical), <31 ms avg 19 ms\n"

@@ -30,7 +30,10 @@
 #            deliberate outcome change re-pins the table).
 #            Opt-in via --bench. Fails on a non-zero bench exit, a missing
 #            artifact, a malformed/incomplete document, a failed self-test
-#            or a digest that differs from its pin. It also runs the learner-fit micro-benchmarks
+#            or a digest that differs from its pin. It then smoke-runs
+#            bench_fig18_overhead at MUDI_BENCH_SCALE=0.02 (micro-benchmarks
+#            filtered out) and fails unless both Fig. 18(b) tables report a
+#            non-zero placement count. It also runs the learner-fit micro-benchmarks
 #            (bench_micro_substrates --benchmark_filter='Fit$') and prints
 #            CPU ns per fit in the stage detail, without gating on them.
 #            When the committed
@@ -115,7 +118,7 @@ while [ $# -gt 0 ]; do
       RUN_REPLAY=1
       ;;
     -h|--help)
-      sed -n '2,67p' "$0"
+      sed -n '2,70p' "$0"
       exit 0
       ;;
     -*)
@@ -345,6 +348,26 @@ if [ "$RUN_BENCH" -eq 1 ]; then
       BENCH_RESULT=FAIL
     fi
   done
+  # Fig. 18(b) reads the decision time from the harness's
+  # policy.select_device region: a small run must print table (b) for both
+  # clusters with a non-zero placement count, or the bench is printing nothing.
+  echo "== bench: Fig. 18 overhead smoke =="
+  FIG18_OUT=$(mktemp -t bench_fig18_smoke.XXXXXX.txt)
+  if cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_fig18_overhead > /dev/null &&
+     MUDI_BENCH_SCALE=0.02 "$BUILD_DIR"/bench/bench_fig18_overhead \
+       --benchmark_filter='^$' > "$FIG18_OUT" 2> /dev/null; then
+    FIG18_COUNTS=$(sed -n 's/^(b) .* (\([0-9]*\) placements):$/\1/p' "$FIG18_OUT")
+    if [ "$(echo "$FIG18_COUNTS" | grep -c '^[1-9][0-9]*$')" -ne 2 ]; then
+      echo "bench: Fig. 18 table (b) missing or empty (placements: ${FIG18_COUNTS:-none})"
+      BENCH_RESULT=FAIL
+    else
+      echo "bench: Fig. 18 table (b) placements: $(echo $FIG18_COUNTS)"
+    fi
+  else
+    echo "bench: Fig. 18 smoke run failed"
+    BENCH_RESULT=FAIL
+  fi
+  rm -f "$FIG18_OUT"
   # Regression gate against the committed perf-trajectory baseline. The
   # committed artifact was produced at full scale, so the gate re-runs the
   # smoke preset at full scale too (it is tiny — well under a minute) for an

@@ -1,21 +1,22 @@
 #include "src/baselines/gpulets_policy.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "src/baselines/baseline_util.h"
-#include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
 namespace mudi {
+namespace {
 
-GpuletsPolicy::GpuletsPolicy() : GpuletsPolicy(Options{}) {}
+// The gpulet size menu (fractions of a GPU).
+constexpr std::array<double, 5> kSliceMenu{0.2, 0.4, 0.6, 0.8, 1.0};
+// Minimum residual slice worth giving to training.
+constexpr double kMinTrainingSlice = 0.2;
 
-GpuletsPolicy::GpuletsPolicy(Options options) : options_(std::move(options)) {
-  MUDI_CHECK(!options_.slice_menu.empty());
-}
+}  // namespace
 
 std::pair<int, double> GpuletsPolicy::FitInferenceSlice(SchedulingEnv& env, int device_id,
                                                         size_t* probes) {
@@ -26,7 +27,7 @@ std::pair<int, double> GpuletsPolicy::FitInferenceSlice(SchedulingEnv& env, int 
   const auto& batches = ProfilingBatchSizes();
 
   // Smallest slice first; within a slice prefer larger batches (throughput).
-  for (double slice : options_.slice_menu) {
+  for (double slice : kSliceMenu) {
     double usable = std::min(slice, 0.9);
     for (auto it = batches.rbegin(); it != batches.rend(); ++it) {
       ++*probes;
@@ -37,7 +38,7 @@ std::pair<int, double> GpuletsPolicy::FitInferenceSlice(SchedulingEnv& env, int 
     }
   }
   // Nothing fits: fall back to the biggest slice and smallest batch.
-  return {batches.front(), std::min(options_.slice_menu.back(), 0.9)};
+  return {batches.front(), std::min(kSliceMenu.back(), 0.9)};
 }
 
 void GpuletsPolicy::Retune(SchedulingEnv& env, int device_id) {
@@ -50,7 +51,7 @@ void GpuletsPolicy::Retune(SchedulingEnv& env, int device_id) {
   const GpuDevice& device = env.device(device_id);
   size_t active = device.num_active_trainings();
   if (active > 0) {
-    double residual = std::max(options_.min_training_slice, 1.0 - slice);
+    double residual = std::max(kMinTrainingSlice, 1.0 - slice);
     double share = std::max(0.05, residual / static_cast<double>(active));
     for (const auto& t : device.trainings()) {
       if (!t.paused) {
@@ -61,7 +62,6 @@ void GpuletsPolicy::Retune(SchedulingEnv& env, int device_id) {
 }
 
 std::optional<int> GpuletsPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   // Best-fit: the device whose residual slice after the inference gpulet is
   // smallest but still above the training minimum.
   std::vector<int> eligible =
@@ -76,7 +76,7 @@ std::optional<int> GpuletsPolicy::SelectDevice(SchedulingEnv& env, const Trainin
       used_by_training += t.gpu_fraction;
     }
     double residual = 1.0 - inf_slice - used_by_training;
-    if (residual < options_.min_training_slice) {
+    if (residual < kMinTrainingSlice) {
       continue;
     }
     if (residual < best_residual) {
@@ -87,7 +87,6 @@ std::optional<int> GpuletsPolicy::SelectDevice(SchedulingEnv& env, const Trainin
   if (!best.has_value() && !eligible.empty()) {
     best = eligible.front();
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 

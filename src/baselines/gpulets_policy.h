@@ -10,7 +10,7 @@
 #define SRC_BASELINES_GPULETS_POLICY_H_
 
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/cluster/policy.h"
 
@@ -18,16 +18,6 @@ namespace mudi {
 
 class GpuletsPolicy : public MultiplexPolicy {
  public:
-  struct Options {
-    // The gpulet size menu (fractions of a GPU).
-    std::vector<double> slice_menu{0.2, 0.4, 0.6, 0.8, 1.0};
-    // Minimum residual slice worth giving to training.
-    double min_training_slice = 0.2;
-  };
-
-  GpuletsPolicy();
-  explicit GpuletsPolicy(Options options);
-
   std::string name() const override { return "gpulets"; }
   std::optional<int> SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) override;
   void OnTrainingPlaced(SchedulingEnv& env, int device_id,
@@ -39,8 +29,6 @@ class GpuletsPolicy : public MultiplexPolicy {
   // Smallest slice + batch meeting the SLO by probing; returns (batch, slice).
   std::pair<int, double> FitInferenceSlice(SchedulingEnv& env, int device_id, size_t* probes);
   void Retune(SchedulingEnv& env, int device_id);
-
-  Options options_;
 };
 
 }  // namespace mudi

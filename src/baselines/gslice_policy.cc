@@ -5,20 +5,25 @@
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
 namespace mudi {
+namespace {
 
-GslicePolicy::GslicePolicy() : GslicePolicy(Options{}) {}
+constexpr double kInitialFraction = 0.5;
+constexpr double kStep = 0.1;
+constexpr double kMinFraction = 0.1;
+constexpr double kMaxFraction = 0.9;
+// Shrink while this headroom factor of the SLO budget is available.
+constexpr double kShrinkHeadroom = 0.68;
+// Feedback steps applied per trigger: GSLICE adjusts incrementally between
+// measurement windows rather than converging in one shot.
+constexpr int kMaxFeedbackRounds = 3;
 
-GslicePolicy::GslicePolicy(Options options) : options_(options) {
-  MUDI_CHECK_LT(options_.min_fraction, options_.max_fraction);
-}
+}  // namespace
 
 std::optional<int> GslicePolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   // No interference model: least-loaded device (fewest resident trainings,
   // then lowest memory pressure).
   std::vector<int> eligible =
@@ -34,7 +39,6 @@ std::optional<int> GslicePolicy::SelectDevice(SchedulingEnv& env, const Training
       best = id;
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 
@@ -49,8 +53,8 @@ void GslicePolicy::Retune(SchedulingEnv& env, int device_id) {
   // Batch selection by throughput feedback at the current partition: probe
   // each candidate once, keep the largest batch whose probed latency
   // satisfies the planning SLO.
-  double fraction = device.inference().gpu_fraction > 0.0 ? device.inference().gpu_fraction
-                                                          : options_.initial_fraction;
+  double fraction =
+      device.inference().gpu_fraction > 0.0 ? device.inference().gpu_fraction : kInitialFraction;
   const auto& batches = ProfilingBatchSizes();
   int batch = batches.front();
   size_t rounds = 0;
@@ -65,15 +69,14 @@ void GslicePolicy::Retune(SchedulingEnv& env, int device_id) {
 
   // Partition step-control feedback: grow while violating, shrink while the
   // probed latency leaves ample headroom.
-  for (int round = 0; round < options_.max_feedback_rounds; ++round) {
+  for (int round = 0; round < kMaxFeedbackRounds; ++round) {
     ++rounds;
     double lat = env.ProbeInferenceLatencyMs(device_id, batch, fraction);
     double budget = PlanningLatencyBudgetMs(batch, std::max(qps, 1e-9), service.slo_ms);
-    if (lat > budget && fraction < options_.max_fraction) {
-      fraction = std::min(options_.max_fraction, fraction + options_.step);
-    } else if (lat < options_.shrink_headroom * budget &&
-               fraction > options_.min_fraction + options_.step) {
-      fraction -= options_.step;
+    if (lat > budget && fraction < kMaxFraction) {
+      fraction = std::min(kMaxFraction, fraction + kStep);
+    } else if (lat < kShrinkHeadroom * budget && fraction > kMinFraction + kStep) {
+      fraction -= kStep;
     } else {
       break;
     }

@@ -18,21 +18,6 @@ namespace mudi {
 
 class GslicePolicy : public MultiplexPolicy {
  public:
-  struct Options {
-    double initial_fraction = 0.5;
-    double step = 0.1;
-    double min_fraction = 0.1;
-    double max_fraction = 0.9;
-    // Shrink while headroom factor of the SLO budget is available.
-    double shrink_headroom = 0.68;
-    // Feedback steps applied per trigger: GSLICE adjusts incrementally
-    // between measurement windows rather than converging in one shot.
-    int max_feedback_rounds = 3;
-  };
-
-  GslicePolicy();
-  explicit GslicePolicy(Options options);
-
   std::string name() const override { return "GSLICE"; }
   std::optional<int> SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) override;
   void OnTrainingPlaced(SchedulingEnv& env, int device_id,
@@ -43,8 +28,6 @@ class GslicePolicy : public MultiplexPolicy {
  private:
   // Feedback loop: batch by throughput probing, partition by step control.
   void Retune(SchedulingEnv& env, int device_id);
-
-  Options options_;
 };
 
 }  // namespace mudi

@@ -1,15 +1,26 @@
 #include "src/baselines/muxflow_policy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 
 namespace mudi {
+namespace {
+
+constexpr size_t kProfiledTrainingTypes = ModelZoo::kNumObservedTrainingTypes;
+// Production inference batch: fixed by the service owner, MuxFlow does not
+// adapt batching.
+constexpr int kFixedBatch = 64;
+// Safety margin on the planning budget.
+constexpr double kSafetyFactor = 1.0;
+constexpr std::array<double, 9> kFractionGrid{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+
+}  // namespace
 
 bool MuxflowPolicy::TableKey::operator<(const TableKey& other) const {
   if (service_index != other.service_index) {
@@ -24,11 +35,8 @@ bool MuxflowPolicy::TableKey::operator<(const TableKey& other) const {
   return fraction_pct < other.fraction_pct;
 }
 
-MuxflowPolicy::MuxflowPolicy(const PerfOracle& profiling_oracle, Options options)
-    : profiling_oracle_(profiling_oracle), options_(std::move(options)), rng_(options_.seed) {}
-
 MuxflowPolicy::MuxflowPolicy(const PerfOracle& profiling_oracle)
-    : MuxflowPolicy(profiling_oracle, Options{}) {}
+    : profiling_oracle_(profiling_oracle) {}
 
 void MuxflowPolicy::Initialize(SchedulingEnv& env) {
   (void)env;
@@ -38,9 +46,9 @@ void MuxflowPolicy::Initialize(SchedulingEnv& env) {
   const auto& services = ModelZoo::InferenceServices();
   const auto& tasks = ModelZoo::TrainingTasks();
   for (size_t s = 0; s < services.size(); ++s) {
-    for (size_t t = 0; t < options_.profiled_training_types; ++t) {
+    for (size_t t = 0; t < kProfiledTrainingTypes; ++t) {
       for (int b : ProfilingBatchSizes()) {
-        for (double g : options_.fraction_grid) {
+        for (double g : kFractionGrid) {
           std::vector<ColocatedTraining> colocated{
               ColocatedTraining{&tasks[t], std::max(0.05, 1.0 - g)}};
           double lat =
@@ -57,7 +65,7 @@ void MuxflowPolicy::Initialize(SchedulingEnv& env) {
 double MuxflowPolicy::TableLatency(size_t service_index, size_t training_type, int batch,
                                    double fraction) const {
   int pct = static_cast<int>(std::lround(fraction * 100.0));
-  if (training_type < options_.profiled_training_types) {
+  if (training_type < kProfiledTrainingTypes) {
     auto it = latency_table_.find(TableKey{service_index, training_type, batch, pct});
     if (it != latency_table_.end()) {
       return it->second;
@@ -66,7 +74,7 @@ double MuxflowPolicy::TableLatency(size_t service_index, size_t training_type, i
   // Unseen type: across-type average — MuxFlow's blind spot for new tasks.
   double sum = 0.0;
   size_t count = 0;
-  for (size_t t = 0; t < options_.profiled_training_types; ++t) {
+  for (size_t t = 0; t < kProfiledTrainingTypes; ++t) {
     auto it = latency_table_.find(TableKey{service_index, t, batch, pct});
     if (it != latency_table_.end()) {
       sum += it->second;
@@ -79,7 +87,7 @@ double MuxflowPolicy::TableLatency(size_t service_index, size_t training_type, i
 
 double MuxflowPolicy::MinTableFraction(size_t service_index, size_t training_type, int batch,
                                        double qps, double slo_ms) const {
-  for (double g : options_.fraction_grid) {
+  for (double g : kFractionGrid) {
     double lat = TableLatency(service_index, training_type, batch, g);
     // Literal Eq. 2 constraint: (W/b)·P <= SLO. Unlike Mudi's quantification
     // (which adds a queue-stability cap, see policy.h), the published
@@ -94,7 +102,6 @@ double MuxflowPolicy::MinTableFraction(size_t service_index, size_t training_typ
 
 std::optional<int> MuxflowPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
   MUDI_CHECK(initialized_);
-  WallTimer timer;
   std::vector<int> eligible =
       EligibleDevices(env, task, MaxTrainingsPerDevice(), /*require_fit=*/true);
   // Matching score: the SLO-safety margin the table promises for this pair
@@ -121,7 +128,6 @@ std::optional<int> MuxflowPolicy::SelectDevice(SchedulingEnv& env, const Trainin
       best = id;
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 
@@ -133,7 +139,7 @@ void MuxflowPolicy::Retune(SchedulingEnv& env, int device_id) {
   double qps = env.MeasuredQps(device_id);
 
   // Representative resident type for the lookup (first active training).
-  size_t type = options_.profiled_training_types;  // sentinel: unseen/none
+  size_t type = kProfiledTrainingTypes;  // sentinel: unseen/none
   for (const auto& t : device.trainings()) {
     if (!t.paused) {
       type = t.type_index;
@@ -145,15 +151,15 @@ void MuxflowPolicy::Retune(SchedulingEnv& env, int device_id) {
   // the service owner (it has no adaptive-batching loop). The SM share is
   // the smallest tabled fraction meeting the planning budget with the
   // production safety margin.
-  int chosen_batch = options_.fixed_batch;
+  int chosen_batch = kFixedBatch;
   double chosen_g = 0.9;
   size_t lookups = 0;
-  for (double g : options_.fraction_grid) {
+  for (double g : kFractionGrid) {
     ++lookups;
     double lat = TableLatency(s, type, chosen_batch, g);
     // Literal Eq. 2 budget (no stability cap; see MinTableFraction).
-    if (lat <= options_.safety_factor * service.slo_ms *
-                   static_cast<double>(chosen_batch) / std::max(qps, 1e-9)) {
+    if (lat <= kSafetyFactor * service.slo_ms * static_cast<double>(chosen_batch) /
+                   std::max(qps, 1e-9)) {
       chosen_g = g;
       break;
     }

@@ -14,7 +14,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/cluster/policy.h"
 #include "src/common/rng.h"
@@ -24,19 +23,8 @@ namespace mudi {
 
 class MuxflowPolicy : public MultiplexPolicy {
  public:
-  struct Options {
-    size_t profiled_training_types = ModelZoo::kNumObservedTrainingTypes;
-    // Production inference batch (fixed by the service owner; MuxFlow does
-    // not adapt batching) and the safety margin on the planning budget.
-    int fixed_batch = 64;
-    double safety_factor = 1.0;
-    std::vector<double> fraction_grid{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
-    uint64_t seed = 19;
-  };
-
   // `profiling_oracle` backs the offline table construction (same offline
   // measurement budget as Mudi's profiler).
-  MuxflowPolicy(const PerfOracle& profiling_oracle, Options options);
   explicit MuxflowPolicy(const PerfOracle& profiling_oracle);
 
   std::string name() const override { return "MuxFlow"; }
@@ -64,8 +52,7 @@ class MuxflowPolicy : public MultiplexPolicy {
   void Retune(SchedulingEnv& env, int device_id);
 
   const PerfOracle& profiling_oracle_;
-  Options options_;
-  Rng rng_;
+  Rng rng_{19};
   std::map<TableKey, double> latency_table_;
   bool initialized_ = false;
 };

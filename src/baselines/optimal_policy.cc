@@ -1,21 +1,27 @@
 #include "src/baselines/optimal_policy.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
 namespace mudi {
+namespace {
 
-OptimalPolicy::OptimalPolicy() : OptimalPolicy(Options{}) {}
+constexpr std::array<double, 17> kFractionGrid{0.10, 0.15, 0.20, 0.25, 0.30, 0.35,
+                                               0.40, 0.45, 0.50, 0.55, 0.60, 0.65,
+                                               0.70, 0.75, 0.80, 0.85, 0.90};
+// Cap on devices fully scanned per placement: on a 1000-GPU cluster a truly
+// exhaustive scan is intractable, so beyond the cap a uniform device sample
+// is solved (each service type stays represented because replicas are spread
+// round-robin).
+constexpr size_t kMaxDevicesScanned = 64;
 
-OptimalPolicy::OptimalPolicy(Options options) : options_(std::move(options)), rng_(options_.seed) {
-  MUDI_CHECK(!options_.fraction_grid.empty());
-}
+}  // namespace
 
 OptimalPolicy::BestConfig OptimalPolicy::SolveDevice(SchedulingEnv& env, int device_id,
                                                      size_t joining_type) const {
@@ -42,7 +48,7 @@ OptimalPolicy::BestConfig OptimalPolicy::SolveDevice(SchedulingEnv& env, int dev
   BestConfig best;
   best.objective = std::numeric_limits<double>::infinity();
   for (int b : ProfilingBatchSizes()) {
-    for (double g : options_.fraction_grid) {
+    for (double g : kFractionGrid) {
       double train_share =
           mix.empty() ? 0.0 : std::max(0.05, (1.0 - g) / static_cast<double>(mix.size()));
       std::vector<ColocatedTraining> colocated;
@@ -89,8 +95,7 @@ void OptimalPolicy::ApplyConfig(SchedulingEnv& env, int device_id, const BestCon
     for (const auto& t : device.trainings()) {
       env.SetTrainingPaused(device_id, t.task_id, true);
     }
-    env.ApplyInferenceConfig(device_id, ProfilingBatchSizes().front(),
-                             options_.fraction_grid.back());
+    env.ApplyInferenceConfig(device_id, ProfilingBatchSizes().front(), kFractionGrid.back());
     return;
   }
   const GpuDevice& device = env.device(device_id);
@@ -113,12 +118,11 @@ void OptimalPolicy::ApplyConfig(SchedulingEnv& env, int device_id, const BestCon
 }
 
 std::optional<int> OptimalPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   std::vector<int> eligible =
       EligibleDevices(env, task, MaxTrainingsPerDevice(), /*require_fit=*/false);
-  if (eligible.size() > options_.max_devices_scanned) {
+  if (eligible.size() > kMaxDevicesScanned) {
     rng_.Shuffle(eligible);
-    eligible.resize(options_.max_devices_scanned);
+    eligible.resize(kMaxDevicesScanned);
   }
   std::optional<int> best_device;
   BestConfig best;
@@ -133,7 +137,6 @@ std::optional<int> OptimalPolicy::SelectDevice(SchedulingEnv& env, const Trainin
   if (best_device.has_value()) {
     pending_[task.task_id] = best;
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best_device;
 }
 

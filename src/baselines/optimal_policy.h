@@ -10,7 +10,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/cluster/policy.h"
 #include "src/common/rng.h"
@@ -19,20 +18,6 @@ namespace mudi {
 
 class OptimalPolicy : public MultiplexPolicy {
  public:
-  struct Options {
-    std::vector<double> fraction_grid{0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50,
-                                      0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90};
-    // Cap on devices fully scanned per placement: on a 1000-GPU cluster a
-    // truly exhaustive scan is intractable, so beyond the cap a uniform
-    // device sample is solved (each service type stays represented because
-    // replicas are spread round-robin).
-    size_t max_devices_scanned = 64;
-    uint64_t seed = 29;
-  };
-
-  OptimalPolicy();
-  explicit OptimalPolicy(Options options);
-
   std::string name() const override { return "Optimal"; }
   std::optional<int> SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) override;
   void OnTrainingPlaced(SchedulingEnv& env, int device_id,
@@ -55,7 +40,6 @@ class OptimalPolicy : public MultiplexPolicy {
   BestConfig SolveDevice(SchedulingEnv& env, int device_id, size_t joining_type) const;
   void ApplyConfig(SchedulingEnv& env, int device_id, const BestConfig& config);
 
-  Options options_;
   Rng rng_{29};
   // Placement-time choice, applied in OnTrainingPlaced.
   std::map<int, BestConfig> pending_;

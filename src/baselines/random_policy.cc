@@ -6,14 +6,15 @@
 #include "src/perf/perf_collector.h"
 
 namespace mudi {
+namespace {
 
-RandomPolicy::RandomPolicy() : RandomPolicy(Options{}) {}
+constexpr int kDefaultBatch = 64;
 
-RandomPolicy::RandomPolicy(Options options) : options_(options), rng_(options.seed) {}
+}  // namespace
 
 std::optional<int> RandomPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
   std::vector<int> eligible =
-      EligibleDevices(env, task, options_.max_trainings_per_device, /*require_fit=*/true);
+      EligibleDevices(env, task, MaxTrainingsPerDevice(), /*require_fit=*/true);
   if (eligible.empty()) {
     return std::nullopt;
   }
@@ -26,7 +27,7 @@ void RandomPolicy::EvenSplit(SchedulingEnv& env, int device_id) {
   const GpuDevice& device = env.device(device_id);
   size_t workloads = 1 + device.num_active_trainings();
   double share = 1.0 / static_cast<double>(workloads);
-  env.ApplyInferenceConfig(device_id, options_.default_batch, std::min(share, 0.9));
+  env.ApplyInferenceConfig(device_id, kDefaultBatch, std::min(share, 0.9));
   for (const auto& t : device.trainings()) {
     if (!t.paused) {
       env.ApplyTrainingFraction(device_id, t.task_id, share);

@@ -13,27 +13,16 @@ namespace mudi {
 
 class RandomPolicy : public MultiplexPolicy {
  public:
-  struct Options {
-    int max_trainings_per_device = 1;
-    int default_batch = 64;
-    uint64_t seed = 23;
-  };
-
-  RandomPolicy();
-  explicit RandomPolicy(Options options);
-
   std::string name() const override { return "Random"; }
   std::optional<int> SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) override;
   void OnTrainingPlaced(SchedulingEnv& env, int device_id,
                         const TrainingTaskInfo& task) override;
   void OnTrainingCompleted(SchedulingEnv& env, int device_id, int task_id) override;
-  int MaxTrainingsPerDevice() const override { return options_.max_trainings_per_device; }
 
  private:
   void EvenSplit(SchedulingEnv& env, int device_id);
 
-  Options options_;
-  Rng rng_;
+  Rng rng_{23};
 };
 
 }  // namespace mudi

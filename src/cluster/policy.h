@@ -196,16 +196,15 @@ class MultiplexPolicy {
   // place where CanFitTraining holds.
   virtual bool SupportsMemorySwap() const { return false; }
 
-  // --- overhead accounting (Fig. 18) ---
-  const std::vector<double>& placement_overheads_ms() const { return placement_overheads_ms_; }
+  // --- overhead accounting (Fig. 18a) ---
+  // Decision time (Fig. 18b) is the harness's: it times each hook once, in
+  // the `policy.*` perf regions.
   const std::vector<size_t>& tuning_iterations() const { return tuning_iterations_; }
 
  protected:
-  void RecordPlacementOverhead(double ms) { placement_overheads_ms_.push_back(ms); }
   void RecordTuningIterations(size_t n) { tuning_iterations_.push_back(n); }
 
  private:
-  std::vector<double> placement_overheads_ms_;
   std::vector<size_t> tuning_iterations_;
 };
 

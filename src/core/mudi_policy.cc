@@ -7,18 +7,20 @@
 #include "src/cluster/replay_hooks.h"
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/common/wallclock.h"
 #include "src/ml/fit_cache.h"
 #include "src/perf/perf_collector.h"
 #include "src/telemetry/telemetry.h"
 
 namespace mudi {
+namespace {
+
+// Seeds the device-only ablation's uniform-random placement.
+constexpr uint64_t kAblationSeed = 7;
+
+}  // namespace
 
 MudiPolicy::MudiPolicy(const PerfOracle& profiling_oracle, Options options)
-    : options_(std::move(options)),
-      profiler_(profiling_oracle),
-      tuner_(options_.tuner),
-      rng_(options_.seed) {
+    : options_(options), profiler_(profiling_oracle), rng_(kAblationSeed) {
   predictor_ = std::make_unique<InterferencePredictor>(&profiler_, &modeler_);
   DeviceSelector::Constraints constraints;
   constraints.max_trainings_per_device = options_.max_trainings_per_device;
@@ -30,9 +32,6 @@ MudiPolicy::MudiPolicy(const PerfOracle& profiling_oracle)
     : MudiPolicy(profiling_oracle, Options{}) {}
 
 std::string MudiPolicy::name() const {
-  if (!options_.display_name.empty()) {
-    return options_.display_name;
-  }
   if (options_.cluster_policy == ClusterPolicy::kRandom) {
     return "Mudi-device-only";
   }
@@ -85,9 +84,9 @@ void MudiPolicy::Initialize(SchedulingEnv& env) {
   }
   {
     perf::PerfRegion region(env.perf(), "mudi.offline_profile");
-    profiler_.ProfileAll(options_.observed_training_types);
+    profiler_.ProfileAll(ModelZoo::kNumObservedTrainingTypes);
     if (options_.max_trainings_per_device > 1) {
-      profiler_.ProfileMultiTraining(options_.observed_training_types,
+      profiler_.ProfileMultiTraining(ModelZoo::kNumObservedTrainingTypes,
                                      options_.max_trainings_per_device > 2);
     }
   }
@@ -98,7 +97,7 @@ void MudiPolicy::Initialize(SchedulingEnv& env) {
     modeler_.AddSamplesFromProfiler(profiler_);
     modeler_.Fit();
   }
-  if (env.perf() != nullptr && env.perf()->enabled()) {
+  if (env.perf() != nullptr) {
     // Snapshot-style, observe-only: how much of the fit the FitCache absorbed.
     env.perf()->SetCounter("mudi.fit_shards_cached", modeler_.last_fit_cached());
     env.perf()->SetCounter("mudi.fit_shards_computed", modeler_.last_fit_computed());
@@ -140,25 +139,21 @@ std::vector<size_t> MudiPolicy::DeviceMix(const GpuDevice& device) {
 
 std::optional<int> MudiPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
   MUDI_CHECK(initialized_);
-  WallTimer timer;
-  std::optional<int> choice;
   if (options_.cluster_policy == ClusterPolicy::kSlopeBased) {
-    choice = selector_->Select(env, task);
-  } else {
-    // Ablation (Fig. 13b): uniform-random among eligible devices.
-    std::vector<int> eligible;
-    for (const GpuDevice& device : env.devices()) {
-      if (selector_->Eligible(env, device, task)) {
-        eligible.push_back(device.id());
-      }
-    }
-    if (!eligible.empty()) {
-      choice = eligible[static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
+    return selector_->Select(env, task);
+  }
+  // Ablation (Fig. 13b): uniform-random among eligible devices.
+  std::vector<int> eligible;
+  for (const GpuDevice& device : env.devices()) {
+    if (selector_->Eligible(env, device, task)) {
+      eligible.push_back(device.id());
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
-  return choice;
+  if (eligible.empty()) {
+    return std::nullopt;
+  }
+  return eligible[static_cast<size_t>(
+      rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
 }
 
 void MudiPolicy::DistributeTrainingShares(SchedulingEnv& env, int device_id,
@@ -181,7 +176,6 @@ void MudiPolicy::DistributeTrainingShares(SchedulingEnv& env, int device_id,
 void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement,
                             int probe_task_id) {
   perf::PerfRegion tune_region(env.perf(), "mudi.tune_device");
-  tuner_.SetPerf(env.perf());
   const GpuDevice& device = env.device(device_id);
   MUDI_CHECK(device.has_inference());
   size_t service_index = device.inference().service_index;
@@ -195,11 +189,11 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
 
   // Initial GPU% for the service: the maximum predicted cutoff across
   // batching sizes (§5.3.2) — generous while the batching search runs.
-  double init_fraction = tuner_.options().min_fraction;
+  double init_fraction = Tuner::kMinFraction;
   for (int b : ProfilingBatchSizes()) {
     init_fraction = std::max(init_fraction, curve_provider(b).x0);
   }
-  init_fraction = std::min(init_fraction, tuner_.options().max_fraction);
+  init_fraction = std::min(init_fraction, Tuner::kMaxFraction);
 
   // The BO objective: observed training mini-batch time for a candidate
   // inference batching size (Training Agent feedback). With no training
@@ -309,7 +303,7 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
       }
       env.SetTrainingPaused(device_id, t.task_id, true);
     }
-    env.ApplyInferenceConfig(device_id, current_batch, tuner_.options().max_fraction);
+    env.ApplyInferenceConfig(device_id, current_batch, Tuner::kMaxFraction);
     if (telemetry != nullptr && telemetry->enabled()) {
       auto& metrics = telemetry->metrics();
       metrics.GetCounter("policy.tunes_infeasible").Increment();
@@ -337,17 +331,17 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
   // planning budget. The samples also refresh the curve store, so repeat
   // co-locations predict from measurements instead of extrapolation.
   double budget = PlanningLatencyBudgetMs(
-      result.batch, std::max(qps, 1.0) * tuner_.options().load_headroom, service.slo_ms);
+      result.batch, std::max(qps, 1.0) * Tuner::kLoadHeadroom, service.slo_ms);
   std::vector<double> probe_fractions, probe_latencies;
   for (int round = 0; round < 5; ++round) {
     double measured =
         env.ProbeInferenceLatencyMs(device_id, result.batch, result.inference_fraction);
     probe_fractions.push_back(result.inference_fraction);
     probe_latencies.push_back(measured);
-    if (measured <= budget || result.inference_fraction >= tuner_.options().max_fraction) {
+    if (measured <= budget || result.inference_fraction >= Tuner::kMaxFraction) {
       break;
     }
-    result.inference_fraction = std::min(tuner_.options().max_fraction,
+    result.inference_fraction = std::min(Tuner::kMaxFraction,
                                          result.inference_fraction * 1.25 + 0.02);
   }
   if (probe_fractions.size() >= 4) {
@@ -385,15 +379,14 @@ void MudiPolicy::ApplyStaticConfig(SchedulingEnv& env, int device_id) {
 
   const auto& batches = ProfilingBatchSizes();
   int chosen_batch = batches.front();
-  double chosen_fraction = tuner_.options().max_fraction;
+  double chosen_fraction = Tuner::kMaxFraction;
   for (auto it = batches.rbegin(); it != batches.rend(); ++it) {
     PiecewiseLinearModel curve = predictor_->PredictCurve(service_index, mix, *it);
     auto frac = tuner_.MinimalFraction(curve, *it, qps, service.slo_ms);
     if (frac.has_value()) {
       chosen_batch = *it;
-      chosen_fraction = std::clamp(std::max(*frac, curve.x0) * 1.05,
-                                   tuner_.options().min_fraction,
-                                   tuner_.options().max_fraction);
+      chosen_fraction = std::clamp(std::max(*frac, curve.x0) * 1.05, Tuner::kMinFraction,
+                                   Tuner::kMaxFraction);
       break;
     }
   }

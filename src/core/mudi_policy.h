@@ -4,7 +4,7 @@
 // Composition:
 //  * Offline Profiler = LatencyProfiler + InterferenceModeler, run in
 //    Initialize() over the observed training-task types (§7.1: the first
-//    five of Tab. 3).
+//    five of Tab. 3, ModelZoo::kNumObservedTrainingTypes).
 //  * Online Multiplexer = InterferencePredictor + DeviceSelector for
 //    cluster-wide placement (§5.2).
 //  * Local Coordinator = Tuner (adaptive batching + resource scaling,
@@ -40,12 +40,6 @@ class MudiPolicy : public MultiplexPolicy {
     int max_trainings_per_device = 1;
     ClusterPolicy cluster_policy = ClusterPolicy::kSlopeBased;
     DevicePolicy device_policy = DevicePolicy::kAdaptive;
-    // Training-task types included in offline profiling.
-    size_t observed_training_types = ModelZoo::kNumObservedTrainingTypes;
-    Tuner::Options tuner;
-    uint64_t seed = 7;
-    // Optional explicit display name ("" = derived from the switches).
-    std::string display_name;
   };
 
   // `profiling_oracle` backs the *offline* profiling measurements

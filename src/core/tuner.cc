@@ -5,28 +5,24 @@
 
 #include "src/cluster/policy.h"
 #include "src/common/check.h"
+#include "src/ml/bayesopt.h"
 
 namespace mudi {
 
-Tuner::Tuner() : Tuner(Options{}) {}
-
-Tuner::Tuner(Options options) : options_(options) {
-  MUDI_CHECK_GE(options_.slo_margin, 1.0);
-  MUDI_CHECK_GT(options_.min_fraction, 0.0);
-  MUDI_CHECK_LE(options_.max_fraction, 1.0);
-  MUDI_CHECK_LT(options_.min_fraction, options_.max_fraction);
-}
+static_assert(Tuner::kSloMargin >= 1.0);
+static_assert(0.0 < Tuner::kMinFraction && Tuner::kMinFraction < Tuner::kMaxFraction &&
+              Tuner::kMaxFraction <= 1.0);
 
 std::optional<double> Tuner::MinimalFraction(const PiecewiseLinearModel& curve, int batch,
                                              double qps, double slo_ms) const {
   MUDI_CHECK_GT(batch, 0);
   if (qps <= 0.0) {
     // No load: the service only needs the floor allocation.
-    return options_.min_fraction;
+    return kMinFraction;
   }
   // (W/b)·P(b, Δ) <= SLO with the queue-stability cap (see policy.h).
-  double target = PlanningLatencyBudgetMs(batch, qps * options_.load_headroom, slo_ms);
-  return curve.MinXForValueAtMost(target, options_.min_fraction, options_.max_fraction);
+  double target = PlanningLatencyBudgetMs(batch, qps * kLoadHeadroom, slo_ms);
+  return curve.MinXForValueAtMost(target, kMinFraction, kMaxFraction);
 }
 
 bool Tuner::BatchFeasible(const PiecewiseLinearModel& curve, int batch, double qps,
@@ -34,8 +30,8 @@ bool Tuner::BatchFeasible(const PiecewiseLinearModel& curve, int batch, double q
   return MinimalFraction(curve, batch, qps, slo_ms).has_value();
 }
 
-double Tuner::MarginedFraction(double raw) const {
-  return std::clamp(raw * options_.slo_margin, options_.min_fraction, options_.max_fraction);
+double Tuner::MarginedFraction(double raw) {
+  return std::clamp(raw * kSloMargin, kMinFraction, kMaxFraction);
 }
 
 Tuner::Result Tuner::TuneOnPlacement(const CurveProvider& curves, const IterObjective& objective,
@@ -47,7 +43,7 @@ Tuner::Result Tuner::TuneOnPlacement(const CurveProvider& curves, const IterObje
   // Adaptive batching: GP-LCB over feasible batch candidates, objective is
   // the observed training mini-batch time (§5.3.1).
   std::vector<double> candidates(batch_candidates.begin(), batch_candidates.end());
-  GpLcbOptimizer optimizer(candidates, options_.bo);
+  GpLcbOptimizer optimizer(candidates);
   double probe_time = 0.0;
   BayesOptResult bo = optimizer.Minimize(
       [&](double b) {

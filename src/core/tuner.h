@@ -20,27 +20,22 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
-#include "src/ml/bayesopt.h"
 #include "src/ml/piecewise_linear.h"
 
 namespace mudi {
 
 class Tuner {
  public:
-  struct Options {
-    // Safety factor applied to the Eq. (4) solution (paper: 10% larger).
-    double slo_margin = 1.1;
-    // Plan for this multiple of the measured load. The GPU%-side margin adds
-    // no throughput headroom for services whose curve is flat beyond the
-    // knee (e.g. YOLOS), so fluctuation tolerance must come from the budget.
-    double load_headroom = 1.10;
-    double min_fraction = 0.10;
-    double max_fraction = 0.90;
-    BayesOptOptions bo;
-
-    Options() { bo.max_iterations = 25; }
-  };
+  // Safety factor applied to the Eq. (4) solution (paper: 10% larger).
+  static constexpr double kSloMargin = 1.1;
+  // Plan for this multiple of the measured load. The GPU%-side margin adds
+  // no throughput headroom for services whose curve is flat beyond the knee
+  // (e.g. YOLOS), so fluctuation tolerance must come from the budget.
+  static constexpr double kLoadHeadroom = 1.10;
+  static constexpr double kMinFraction = 0.10;
+  static constexpr double kMaxFraction = 0.90;
 
   struct Result {
     bool feasible = false;
@@ -58,9 +53,6 @@ class Tuner {
   // Observed training mini-batch time when the inference side runs with a
   // candidate batching size (Training Agent feedback).
   using IterObjective = std::function<double(int batch)>;
-
-  Tuner();
-  explicit Tuner(Options options);
 
   // §5.3.1 flow after a placement decision.
   Result TuneOnPlacement(const CurveProvider& curves, const IterObjective& objective,
@@ -82,18 +74,8 @@ class Tuner {
   bool BatchFeasible(const PiecewiseLinearModel& curve, int batch, double qps,
                      double slo_ms) const;
 
-  const Options& options() const { return options_; }
-
-  // Routes the BO's fine-grained self-profiling regions (kernel build,
-  // Cholesky, acquisition scan) to the run's collector. Observe-only; the
-  // policy re-points it per tuning call because the collector belongs to the
-  // harness, not the tuner.
-  void SetPerf(perf::PerfCollector* perf) { options_.bo.perf = perf; }
-
  private:
-  double MarginedFraction(double raw) const;
-
-  Options options_;
+  static double MarginedFraction(double raw);
 };
 
 }  // namespace mudi

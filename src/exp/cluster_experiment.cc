@@ -11,6 +11,18 @@
 namespace mudi {
 namespace {
 
+constexpr TimeMs kMonitorPeriodMs = 2.0 * kMsPerSecond;
+// Forced per-device re-tune period: the 50% QPS-change threshold is an edge
+// trigger and can latch a transient rate (e.g. mid-burst decay); periodic
+// reconciliation bounds how long a stale config can persist.
+constexpr TimeMs kPeriodicRetuneMs = 30.0 * kMsPerSecond;
+constexpr TimeMs kUtilSampleMs = 1.0 * kMsPerSecond;
+// Periodic training-checkpoint interval: a task displaced by a device failure
+// resumes from its last checkpoint (progress since then is lost).
+constexpr TimeMs kCheckpointPeriodMs = 60.0 * kMsPerSecond;
+// Extra time simulated after the last completion (lets SLO windows close).
+constexpr TimeMs kDrainMs = 5.0 * kMsPerSecond;
+
 std::string DeviceTaskKey(int device_id, int task_id) {
   return "/devices/" + std::to_string(device_id) + "/tasks/" + std::to_string(task_id);
 }
@@ -87,7 +99,6 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
       serving_(options_, sim_, cluster_, oracle_, rng_, telemetry_, *this),
       last_retune_ms_(cluster_.num_devices(), 0.0) {
   MUDI_CHECK(policy_ != nullptr);
-  MUDI_CHECK_GT(options_.checkpoint_period_ms, 0.0);
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
     registry_.Put(DeviceStatusKey(static_cast<int>(d)), "up");
   }
@@ -106,7 +117,6 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
 
   // Telemetry wiring: every instrumented component checks enabled() itself
   // and keeps a null sink otherwise, so this is safe unconditionally.
-  sim_.SetTelemetry(&telemetry_);
   oracle_.SetTelemetry(&telemetry_);
   queue_.SetTelemetry(&telemetry_);
   memory_manager_.SetTelemetry(&telemetry_);
@@ -375,7 +385,7 @@ void ClusterExperiment::OnSchedulerRecovered() {
     policy_->OnControlPlaneRestart(*this);
   }
   for (TimeMs& last : last_retune_ms_) {
-    last = sim_.Now() - options_.periodic_retune_ms;
+    last = sim_.Now() - kPeriodicRetuneMs;
   }
   TryDispatchQueue();
 }
@@ -450,7 +460,7 @@ void ClusterExperiment::PlaceTask(const TrainingArrival& arrival, int device_id)
   RunningTask running;
   running.device_id = device_id;
   running.last_sync_ms = sim_.Now();
-  running.next_checkpoint_ms = sim_.Now() + options_.checkpoint_period_ms;
+  running.next_checkpoint_ms = sim_.Now() + kCheckpointPeriodMs;
   running.work_at_checkpoint = arrival.work_full_gpu_ms;
   running_[arrival.task_id] = running;
 
@@ -517,7 +527,7 @@ void ClusterExperiment::SyncTrainingProgress(int device_id, int task_id) {
                                 running.speed * (running.next_checkpoint_ms - running.last_sync_ms));
     }
     running.work_at_checkpoint = at_cp;
-    running.next_checkpoint_ms += options_.checkpoint_period_ms;
+    running.next_checkpoint_ms += kCheckpointPeriodMs;
   }
   double elapsed = now - running.last_sync_ms;
   if (elapsed > 0.0 && running.speed > 0.0) {
@@ -622,7 +632,7 @@ void ClusterExperiment::MonitorTick() {
     for (const auto& t : cluster_.device(d).trainings()) {
       has_paused |= t.paused;
     }
-    bool stale = sim_.Now() - last_retune_ms_[d] >= options_.periodic_retune_ms;
+    bool stale = sim_.Now() - last_retune_ms_[d] >= kPeriodicRetuneMs;
     // SLO risk is judged last: the P99 read sorts the latency window, and it
     // matters only when no other trigger fired. The read is const and,
     // being harness-internal, unrecorded, so skipping it changes nothing.
@@ -689,6 +699,7 @@ void ClusterExperiment::UtilSampleTick() {
         .GetHistogram("queue.depth_samples",
                       {0.5, 1.5, 2.5, 4.5, 8.5, 16.5, 32.5, 64.5, 128.5})
         .Observe(static_cast<double>(queue_.size()));
+    ExportSimEventCounts();
     metrics.RecordSnapshot(now);
   }
   if (options_.record_util_series) {
@@ -705,6 +716,20 @@ void ClusterExperiment::UtilSampleTick() {
     device_series_.push_back(DeviceSeriesSample{now, MeasuredQps(d), dev.inference().batch_size,
                                                 dev.inference().gpu_fraction, swapped,
                                                 dev.MemoryResidentMb()});
+  }
+}
+
+// The simulator counts its own events; the telemetry `sim.events_*` counters
+// copy those totals only where a snapshot or the final flush reads them, so
+// the per-event path pays nothing for telemetry.
+void ClusterExperiment::ExportSimEventCounts() {
+  for (auto [name, total] : {std::pair{"sim.events_fired", sim_.events_processed()},
+                             std::pair{"sim.events_scheduled", sim_.events_scheduled()},
+                             std::pair{"sim.events_cancelled", sim_.events_cancelled()}}) {
+    telemetry::Counter& counter = telemetry_.metrics().GetCounter(name);
+    // Counters only add; the totals are integers below 2^53, so the
+    // difference is exact.
+    counter.Increment(static_cast<double>(total) - counter.value());
   }
 }
 
@@ -761,10 +786,8 @@ ExperimentResult ClusterExperiment::Run() {
   }
 
   serving_.Start();
-  sim_.SchedulePeriodic(options_.monitor_period_ms, options_.monitor_period_ms,
-                        [this] { MonitorTick(); });
-  sim_.SchedulePeriodic(options_.util_sample_ms, options_.util_sample_ms,
-                        [this] { UtilSampleTick(); });
+  sim_.SchedulePeriodic(kMonitorPeriodMs, kMonitorPeriodMs, [this] { MonitorTick(); });
+  sim_.SchedulePeriodic(kUtilSampleMs, kUtilSampleMs, [this] { UtilSampleTick(); });
 
   if (options_.horizon_ms > 0.0) {
     sim_.RunUntil(options_.horizon_ms);
@@ -780,7 +803,7 @@ ExperimentResult ClusterExperiment::Run() {
                         << ", pending_events=" << sim_.pending_events();
       }
     }
-    sim_.RunUntil(sim_.Now() + options_.drain_ms);
+    sim_.RunUntil(sim_.Now() + kDrainMs);
   }
 
   // Aggregate results.
@@ -804,7 +827,6 @@ ExperimentResult ClusterExperiment::Run() {
   result.swap_total_mb = memory_manager_.total_swapped_out_mb();
   result.util_series = util_series_;
   result.device_series = device_series_;
-  result.placement_overheads_ms = policy_->placement_overheads_ms();
   result.tuning_iterations = policy_->tuning_iterations();
 
   // Availability / recovery aggregates.
@@ -833,6 +855,7 @@ ExperimentResult ClusterExperiment::Run() {
     metrics.GetGauge("exp.avg_sm_util").Set(result.avg_sm_util);
     metrics.GetGauge("exp.avg_mem_util").Set(result.avg_mem_util);
     metrics.GetGauge("queue.final_max_depth").Set(static_cast<double>(queue_.max_depth()));
+    ExportSimEventCounts();
     telemetry_.Flush(result.policy_name);
   }
 

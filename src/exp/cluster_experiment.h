@@ -36,7 +36,6 @@
 #include "src/replay/decision_recorder.h"
 #include "src/replay/probe.h"
 #include "src/replay/replay_source.h"
-#include "src/sim/retry.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/workload/request_generator.h"
@@ -69,18 +68,6 @@ struct ExperimentOptions {
   // virtual time (sustained-overload scenarios can leave training paused
   // indefinitely — §5.3.2's "until suitable resources become available").
   TimeMs max_sim_ms = 4.0 * kMsPerHour;
-  // Extra time simulated after the last completion (lets SLO windows close).
-  TimeMs drain_ms = 5.0 * kMsPerSecond;
-
-  TimeMs monitor_period_ms = 2.0 * kMsPerSecond;
-  // Forced per-device re-tune period: the 50% QPS-change threshold is an
-  // edge trigger and can latch a transient rate (e.g. mid-burst decay);
-  // periodic reconciliation bounds how long a stale config can persist.
-  TimeMs periodic_retune_ms = 30.0 * kMsPerSecond;
-  TimeMs slo_window_ms = 10.0 * kMsPerSecond;
-  TimeMs util_sample_ms = 1.0 * kMsPerSecond;
-  // Shadow-instance switchover for GPU% reconfiguration (§5.3.2).
-  TimeMs reconfig_latency_ms = 1.5 * kMsPerSecond;
 
   // Arrival-cohort tick: 0 = auto (SLO/15 clamped to [5, 100] ms).
   TimeMs arrival_tick_ms = 0.0;
@@ -89,9 +76,6 @@ struct ExperimentOptions {
   // schedules nothing and leaves the run byte-identical to one without any
   // fault machinery.
   FaultPlan fault_plan;
-  // Periodic training-checkpoint interval: a task displaced by a device
-  // failure resumes from its last checkpoint (progress since then is lost).
-  TimeMs checkpoint_period_ms = 60.0 * kMsPerSecond;
 
   // Control-plane fault schedule (degraded KvStore watches/reads, partition
   // windows, watch loss, scheduler crashes), armed when Run() starts. While
@@ -101,12 +85,6 @@ struct ExperimentOptions {
   // events and zero registry traffic: the run stays byte-identical to one
   // without any control-fault machinery (ctrl_fault_test pins this).
   ControlFaultPlan ctrl_fault_plan;
-  // Scheduler state-checkpoint period while the control fault domain is
-  // active: the coordinator heartbeats its epoch into the registry so the
-  // recovery scan can tell how stale its view is.
-  TimeMs ctrl_checkpoint_period_ms = 10.0 * kMsPerSecond;
-  // Backoff discipline for control-plane reads and watch re-establishment.
-  RetryPolicy ctrl_retry;
 
   bool record_util_series = false;
   // Device id to trace for Fig. 16 (-1 = none).
@@ -172,9 +150,7 @@ class ClusterExperiment : public SchedulingEnv,
   bool CanFitTraining(int device_id, const TrainingTaskSpec& spec) const override;
   const PerfOracle& oracle() const override { return oracle_; }
   Telemetry* telemetry() override { return telemetry_.enabled() ? &telemetry_ : nullptr; }
-  perf::PerfCollector* perf() override {
-    return options_.perf != nullptr && options_.perf->enabled() ? options_.perf : nullptr;
-  }
+  perf::PerfCollector* perf() override { return options_.perf; }
   replay::DecisionRecorder* recorder() override { return options_.recorder; }
   replay::ReplaySource* replay() override { return options_.replay; }
 
@@ -232,6 +208,8 @@ class ClusterExperiment : public SchedulingEnv,
   // --- periodic ---
   void MonitorTick();
   void UtilSampleTick();
+  // Writes the simulator's event totals into the telemetry counters.
+  void ExportSimEventCounts();
 
   ExperimentOptions options_;
   MultiplexPolicy* policy_;

@@ -10,6 +10,10 @@
 namespace mudi {
 namespace {
 
+// Scheduler state-checkpoint period: the coordinator heartbeats its epoch
+// into the registry so the recovery scan can tell how stale its view is.
+constexpr TimeMs kCtrlCheckpointPeriodMs = 10.0 * kMsPerSecond;
+
 std::string SchedConfigKey(int device_id) {
   // The "/inference" terminator keeps the per-device watch prefix exact:
   // without it, the device-1 watch would also match devices 10, 11, ...
@@ -30,8 +34,8 @@ ControlPlane::ControlPlane(const ExperimentOptions& options, Simulator& sim, KvS
       cluster_(cluster),
       telemetry_(telemetry),
       listener_(listener),
-      recovery_retrier_(&sim, options.ctrl_retry, rng.Fork(2)),
-      watch_retrier_(&sim, options.ctrl_retry, rng.Fork(3)),
+      recovery_retrier_(&sim, RetryPolicy{}, rng.Fork(2)),
+      watch_retrier_(&sim, RetryPolicy{}, rng.Fork(3)),
       injector_(&sim, this, &telemetry) {
   const ControlFaultPlan& plan = options.ctrl_fault_plan;
   MUDI_CHECK(!plan.empty());
@@ -54,16 +58,13 @@ ControlPlane::ControlPlane(const ExperimentOptions& options, Simulator& sim, KvS
   // the registry's view of the scheduler is. ("/sched/epoch" does not prefix
   // any per-device config watch, so heartbeats draw nothing from the
   // watchers' delivery streams.)
-  if (options.ctrl_checkpoint_period_ms > 0.0) {
-    sim_.SchedulePeriodic(options.ctrl_checkpoint_period_ms, options.ctrl_checkpoint_period_ms,
-                          [this] {
-                            if (!scheduler_up_) {
-                              return;  // a crashed scheduler stops heartbeating
-                            }
-                            ++ckpt_epoch_;
-                            registry_.Put("/sched/epoch", std::to_string(ckpt_epoch_));
-                          });
-  }
+  sim_.SchedulePeriodic(kCtrlCheckpointPeriodMs, kCtrlCheckpointPeriodMs, [this] {
+    if (!scheduler_up_) {
+      return;  // a crashed scheduler stops heartbeating
+    }
+    ++ckpt_epoch_;
+    registry_.Put("/sched/epoch", std::to_string(ckpt_epoch_));
+  });
 }
 
 void ControlPlane::Publish(int device_id, int batch, double gpu_fraction) {

@@ -136,7 +136,6 @@ struct ExperimentResult {
   size_t swap_events = 0;
   double swap_total_mb = 0.0;
 
-  std::vector<double> placement_overheads_ms;
   std::vector<size_t> tuning_iterations;
 
   std::vector<DeviceSeriesSample> device_series;  // when a device is traced

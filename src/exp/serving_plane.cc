@@ -16,6 +16,10 @@ constexpr int kInitialBatch = 64;
 // Queue cap as a multiple of the batching size: beyond it, oldest requests
 // are shed and counted as worst-case latency (overload).
 constexpr double kQueueCapBatches = 50.0;
+// SLO attainment is judged per window of this length.
+constexpr TimeMs kSloWindowMs = 10.0 * kMsPerSecond;
+// Shadow-instance switchover for GPU% reconfiguration (§5.3.2).
+constexpr TimeMs kReconfigLatencyMs = 1.5 * kMsPerSecond;
 
 }  // namespace
 
@@ -69,7 +73,7 @@ void ServingPlane::ScheduleServing(int device_id, TimeMs start) {
   TimeMs tick = ArrivalTickMs(device_id);
   r.arrival_event =
       sim_.SchedulePeriodic(start + tick, tick, [this, device_id] { ArrivalTick(device_id); });
-  r.slo_event = sim_.SchedulePeriodic(start + options_.slo_window_ms, options_.slo_window_ms,
+  r.slo_event = sim_.SchedulePeriodic(start + kSloWindowMs, kSloWindowMs,
                                       [this, device_id] { CloseSloWindow(device_id); });
 }
 
@@ -113,7 +117,7 @@ void ServingPlane::Reconfigure(int device_id, int batch, double gpu_fraction) {
                            telemetry::TraceArg::Num("batch", batch),
                            telemetry::TraceArg::Num("fraction", gpu_fraction)});
   }
-  r.pending_event = sim_.ScheduleAfter(options_.reconfig_latency_ms, [this, device_id] {
+  r.pending_event = sim_.ScheduleAfter(kReconfigLatencyMs, [this, device_id] {
     Replica& rep = replicas_[static_cast<size_t>(device_id)];
     if (!rep.pending_config.has_value()) {
       return;

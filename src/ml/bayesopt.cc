@@ -5,12 +5,23 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/perf/perf_collector.h"
 
 namespace mudi {
+namespace {
 
-GpLcbOptimizer::GpLcbOptimizer(std::vector<double> candidates, BayesOptOptions options)
-    : candidates_(std::move(candidates)), options_(options) {
+// Evaluation budget per optimization (§7.5: tuning converges within 25).
+constexpr size_t kMaxIterations = 25;
+// Stop when the chosen candidate repeats this many consecutive times.
+constexpr size_t kConvergenceRepeats = 3;
+// Evenly spaced candidates evaluated before the LCB loop starts. β_n decays
+// as 2·log(|R|/n²), so with small candidate sets exploration dies within a
+// couple of iterations; the initial design guarantees coverage first.
+constexpr size_t kInitialDesign = 6;
+
+}  // namespace
+
+GpLcbOptimizer::GpLcbOptimizer(std::vector<double> candidates)
+    : candidates_(std::move(candidates)) {
   MUDI_CHECK(!candidates_.empty());
   auto [lo, hi] = std::minmax_element(candidates_.begin(), candidates_.end());
   scale_center_ = 0.5 * (*lo + *hi);
@@ -39,12 +50,7 @@ BayesOptResult GpLcbOptimizer::Minimize(const Objective& objective,
     return result;
   }
 
-  GaussianProcess gp(options_.gp);
-  gp.SetPerf(options_.perf);
-  perf::LatencyStat* acq_stat =
-      options_.perf != nullptr && options_.perf->enabled()
-          ? &options_.perf->GetRegionStat("mudi.gp_lcb.acquisition")
-          : nullptr;
+  GaussianProcess gp;
   auto to_feature = [&](double c) {
     return std::vector<double>{(c - scale_center_) / scale_half_};
   };
@@ -56,8 +62,7 @@ BayesOptResult GpLcbOptimizer::Minimize(const Objective& objective,
   double last_pick = std::numeric_limits<double>::quiet_NaN();
 
   // Initial design: evenly spaced coverage before the LCB loop.
-  size_t design = std::min({options_.initial_design, options_.max_iterations,
-                            feasible_candidates.size()});
+  size_t design = std::min({kInitialDesign, kMaxIterations, feasible_candidates.size()});
   for (size_t d = 0; d < design; ++d) {
     size_t idx = design <= 1 ? 0
                              : d * (feasible_candidates.size() - 1) / (design - 1);
@@ -76,22 +81,19 @@ BayesOptResult GpLcbOptimizer::Minimize(const Objective& objective,
     ++result.iterations_used;
   }
 
-  for (size_t n = result.iterations_used + 1; n <= options_.max_iterations; ++n) {
+  for (size_t n = result.iterations_used + 1; n <= kMaxIterations; ++n) {
     double beta_sqrt = std::sqrt(Beta(feasible_candidates.size(), n));
     // Pick the acquisition minimizer; prefer unevaluated candidates at equal
     // acquisition to avoid premature cycling.
     size_t pick = 0;
     double best_acq = std::numeric_limits<double>::infinity();
-    {
-      perf::PerfRegion region(acq_stat);
-      for (size_t i = 0; i < feasible_candidates.size(); ++i) {
-        GpPosterior post = gp.Predict(to_feature(feasible_candidates[i]));
-        // Eq. (3): μ − β_n^{1/2}·sqrt(σ), with σ the posterior variance.
-        double acq = post.mean - beta_sqrt * std::sqrt(post.variance + 1e-12);
-        if (acq < best_acq - 1e-12 || (std::abs(acq - best_acq) <= 1e-12 && !evaluated[i])) {
-          best_acq = acq;
-          pick = i;
-        }
+    for (size_t i = 0; i < feasible_candidates.size(); ++i) {
+      GpPosterior post = gp.Predict(to_feature(feasible_candidates[i]));
+      // Eq. (3): μ − β_n^{1/2}·sqrt(σ), with σ the posterior variance.
+      double acq = post.mean - beta_sqrt * std::sqrt(post.variance + 1e-12);
+      if (acq < best_acq - 1e-12 || (std::abs(acq - best_acq) <= 1e-12 && !evaluated[i])) {
+        best_acq = acq;
+        pick = i;
       }
     }
     double cand = feasible_candidates[pick];
@@ -107,7 +109,7 @@ BayesOptResult GpLcbOptimizer::Minimize(const Objective& objective,
 
     if (!std::isnan(last_pick) && cand == last_pick) {
       ++repeats;
-      if (repeats + 1 >= options_.convergence_repeats) {
+      if (repeats + 1 >= kConvergenceRepeats) {
         break;
       }
     } else {

@@ -20,20 +20,6 @@
 
 namespace mudi {
 
-struct BayesOptOptions {
-  size_t max_iterations = 25;
-  // Stop when the chosen candidate repeats this many consecutive times.
-  size_t convergence_repeats = 3;
-  // Evenly spaced candidates evaluated before the LCB loop starts. β_n decays
-  // as 2·log(|R|/n²), so with small candidate sets exploration dies within a
-  // couple of iterations; the initial design guarantees coverage first.
-  size_t initial_design = 6;
-  GpOptions gp;
-  // Optional self-profiling sink: breaks the coarse mudi.gp_lcb region down
-  // into kernel build / Cholesky solve / acquisition scan. Observe-only.
-  perf::PerfCollector* perf = nullptr;
-};
-
 struct BayesOptResult {
   // Best feasible candidate found; nullopt when no candidate is feasible.
   std::optional<double> best_candidate;
@@ -48,7 +34,7 @@ class GpLcbOptimizer {
   using Objective = std::function<double(double candidate)>;
   using Feasible = std::function<bool(double candidate)>;
 
-  GpLcbOptimizer(std::vector<double> candidates, BayesOptOptions options = {});
+  explicit GpLcbOptimizer(std::vector<double> candidates);
 
   // Runs the full optimization loop: repeatedly picks the LCB-minimizing
   // feasible candidate, evaluates `objective` there, updates the GP, and
@@ -60,7 +46,6 @@ class GpLcbOptimizer {
 
  private:
   std::vector<double> candidates_;
-  BayesOptOptions options_;
   double scale_center_ = 0.0;
   double scale_half_ = 1.0;
 };

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/perf/perf_collector.h"
 
 namespace mudi {
 
@@ -37,16 +36,6 @@ void GaussianProcess::SetObservations(const std::vector<std::vector<double>>& x,
   Refit();
 }
 
-void GaussianProcess::SetPerf(perf::PerfCollector* perf) {
-  if (perf == nullptr || !perf->enabled()) {
-    kernel_stat_ = nullptr;
-    chol_stat_ = nullptr;
-    return;
-  }
-  kernel_stat_ = &perf->GetRegionStat("mudi.gp_lcb.kernel_build");
-  chol_stat_ = &perf->GetRegionStat("mudi.gp_lcb.cholesky");
-}
-
 void GaussianProcess::Refit() {
   size_t n = train_x_.size();
   if (n == 0) {
@@ -60,18 +49,14 @@ void GaussianProcess::Refit() {
   y_mean_ /= static_cast<double>(n);
 
   Matrix k(n, n);
-  {
-    perf::PerfRegion region(kernel_stat_);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j <= i; ++j) {
-        double v = Kernel(train_x_[i], train_x_[j]);
-        k.At(i, j) = v;
-        k.At(j, i) = v;
-      }
-      k.At(i, i) += options_.noise_var + 1e-10;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double v = Kernel(train_x_[i], train_x_[j]);
+      k.At(i, j) = v;
+      k.At(j, i) = v;
     }
+    k.At(i, i) += options_.noise_var + 1e-10;
   }
-  perf::PerfRegion region(chol_stat_);
   double jitter = 1e-8;
   while (!CholeskyDecompose(k, chol_)) {
     for (size_t i = 0; i < n; ++i) {

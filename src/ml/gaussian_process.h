@@ -9,11 +9,6 @@
 
 namespace mudi {
 
-namespace perf {
-class PerfCollector;
-class LatencyStat;
-}  // namespace perf
-
 struct GpOptions {
   double length_scale = 1.0;   // RBF length scale on (caller-normalized) inputs
   double signal_var = 1.0;     // kernel amplitude σ_f²
@@ -40,12 +35,6 @@ class GaussianProcess {
 
   size_t num_observations() const { return train_x_.size(); }
 
-  // Fine-grained self-profiling of the refit path: kernel-matrix build and
-  // Cholesky factor/solve each get their own region ("mudi.gp_lcb.kernel_build"
-  // / "mudi.gp_lcb.cholesky"). Stats are resolved once here because Refit runs
-  // on every AddObservation inside the BO loop. Observe-only.
-  void SetPerf(perf::PerfCollector* perf);
-
  private:
   double Kernel(const std::vector<double>& a, const std::vector<double>& b) const;
   void Refit();
@@ -56,8 +45,6 @@ class GaussianProcess {
   double y_mean_ = 0.0;
   Matrix chol_;                 // Cholesky factor of (K + σ_n²·I)
   std::vector<double> alpha_;   // (K + σ_n²·I)⁻¹·(y − mean)
-  perf::LatencyStat* kernel_stat_ = nullptr;
-  perf::LatencyStat* chol_stat_ = nullptr;
 };
 
 }  // namespace mudi

@@ -1,6 +1,6 @@
 // PerfCollector — the self-profiling hub: named scoped-timer regions
-// (LatencyStat each) plus named monotonic counters, all with stable
-// addresses so hot paths cache a pointer once.
+// (LatencyStat each, with stable addresses so hot paths cache a pointer
+// once) plus named end-of-run snapshot counters.
 //
 // Design rules (the same contract as src/telemetry):
 //  * Observe-only. The collector never schedules events, never draws from a
@@ -13,8 +13,8 @@
 //
 // PerfRegion is the RAII scoped timer: construct at the top of the profiled
 // scope, destruction records the elapsed wall milliseconds. A null collector
-// (or a disabled one) makes the region a near-no-op — one branch, no clock
-// read on the disabled path.
+// is the off switch: it makes the region a near-no-op — one branch, no clock
+// read.
 #ifndef SRC_PERF_PERF_COLLECTOR_H_
 #define SRC_PERF_PERF_COLLECTOR_H_
 
@@ -34,35 +34,16 @@ class PerfCollector {
   PerfCollector(const PerfCollector&) = delete;
   PerfCollector& operator=(const PerfCollector&) = delete;
 
-  // Runtime master switch. Regions and counter writers check it through the
-  // pointers they cached, so flipping it mid-run only affects new regions.
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   // Get-or-create; returned references stay valid for the collector's
   // lifetime (std::map nodes have stable addresses).
   LatencyStat& GetRegionStat(const std::string& name) { return regions_[name]; }
-  uint64_t& GetCounter(const std::string& name) { return counters_[name]; }
-
-  void IncrementCounter(const std::string& name, uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
   // Overwrites (for end-of-run exported snapshots, e.g. simulator totals).
   void SetCounter(const std::string& name, uint64_t value) { counters_[name] = value; }
-
-  // Records a free-standing sample (same sink as a region, without RAII).
-  void RecordValue(const std::string& name, double ms) { regions_[name].Record(ms); }
 
   const std::map<std::string, LatencyStat>& regions() const { return regions_; }
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
 
-  void Clear() {
-    regions_.clear();
-    counters_.clear();
-  }
-
  private:
-  bool enabled_ = true;
   // std::map: deterministic name-ordered iteration for every export.
   std::map<std::string, LatencyStat> regions_;
   std::map<std::string, uint64_t> counters_;
@@ -70,10 +51,9 @@ class PerfCollector {
 
 class PerfRegion {
  public:
-  // Looks the region up by name; null/disabled collector disables the region.
+  // Looks the region up by name; a null collector disables the region.
   PerfRegion(PerfCollector* collector, const char* name)
-      : stat_(collector != nullptr && collector->enabled() ? &collector->GetRegionStat(name)
-                                                           : nullptr) {
+      : stat_(collector != nullptr ? &collector->GetRegionStat(name) : nullptr) {
     if (stat_ != nullptr) {
       timer_.Restart();
     }
@@ -97,7 +77,7 @@ class PerfRegion {
 
  private:
   LatencyStat* stat_;
-  // Unstarted: the disabled path never reads the clock; the enabled branch
+  // Unstarted: the disabled path never reads the clock; the non-null branch
   // in the constructors calls Restart().
   WallTimer timer_{WallTimer::Unstarted{}};
 };

@@ -4,24 +4,11 @@
 
 #include "src/common/check.h"
 #include "src/perf/perf_collector.h"
-#include "src/telemetry/telemetry.h"
 
 namespace mudi {
 
-void Simulator::SetTelemetry(Telemetry* telemetry) {
-  if (telemetry == nullptr || !telemetry->enabled()) {
-    fired_counter_ = nullptr;
-    scheduled_counter_ = nullptr;
-    cancelled_counter_ = nullptr;
-    return;
-  }
-  fired_counter_ = &telemetry->metrics().GetCounter("sim.events_fired");
-  scheduled_counter_ = &telemetry->metrics().GetCounter("sim.events_scheduled");
-  cancelled_counter_ = &telemetry->metrics().GetCounter("sim.events_cancelled");
-}
-
 void Simulator::ExportPerfCounters(perf::PerfCollector* collector) const {
-  if (collector == nullptr || !collector->enabled()) {
+  if (collector == nullptr) {
     return;
   }
   collector->SetCounter("sim.events_fired", events_processed_);
@@ -60,9 +47,6 @@ Simulator::EventId Simulator::Push(TimeMs t, TimeMs period, Callback cb, EventId
   SetState(id, EventState::kLive);
   ++live_count_;
   ++events_scheduled_;
-  if (scheduled_counter_ != nullptr) {
-    scheduled_counter_->Increment();
-  }
   return id;
 }
 
@@ -92,9 +76,6 @@ bool Simulator::Cancel(EventId id) {
   --live_count_;
   ++stale_cancellations_;
   ++events_cancelled_;
-  if (cancelled_counter_ != nullptr) {
-    cancelled_counter_->Increment();
-  }
   return true;
 }
 
@@ -122,9 +103,6 @@ bool Simulator::Step() {
   MUDI_CHECK_GE(ev.time, now_);
   now_ = ev.time;
   ++events_processed_;
-  if (fired_counter_ != nullptr) {
-    fired_counter_->Increment();
-  }
   if (ev.period > 0.0) {
     // Re-arm before running so the callback can Cancel() its own id: the
     // event keeps its arena slot and id, gets a fresh seq, and is pushed at
@@ -135,9 +113,6 @@ bool Simulator::Step() {
     ev.seq = next_seq_++;
     queue_.Push(CalendarQueue::Item{ev.time, ev.seq, item.slot});
     ++events_scheduled_;
-    if (scheduled_counter_ != nullptr) {
-      scheduled_counter_->Increment();
-    }
     ev.cb();
     return true;
   }

@@ -26,10 +26,6 @@
 
 namespace mudi {
 
-class Telemetry;
-namespace telemetry {
-class Counter;
-}  // namespace telemetry
 namespace perf {
 class PerfCollector;
 }  // namespace perf
@@ -90,10 +86,6 @@ class Simulator {
   size_t arena_high_water() const { return arena_.high_water(); }
   uint64_t calendar_migrations() const { return queue_.migrations(); }
 
-  // Optional event-dispatch stats (scheduled/fired/cancelled counters).
-  // Purely observational; passing nullptr detaches.
-  void SetTelemetry(Telemetry* telemetry);
-
   // Exports the dispatch totals into the self-profiling collector
   // ("sim.events_*" counters). Snapshot-style — called at end of run, so the
   // per-event hot path pays nothing for profiling. Observe-only.
@@ -129,11 +121,6 @@ class Simulator {
   uint64_t events_cancelled_ = 0;
   size_t stale_cancellations_ = 0;
   size_t live_count_ = 0;
-  // Cached registry objects (stable addresses) so the hot path pays one
-  // branch + one add per event.
-  telemetry::Counter* fired_counter_ = nullptr;
-  telemetry::Counter* scheduled_counter_ = nullptr;
-  telemetry::Counter* cancelled_counter_ = nullptr;
   EventArena arena_;
   CalendarQueue queue_;
   std::vector<uint8_t> state_;

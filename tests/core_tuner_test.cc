@@ -42,9 +42,9 @@ TEST(TunerEq4Test, SolutionIsMinimal) {
   auto curve = CurveForBatch(batch);
   auto frac = tuner.MinimalFraction(curve, batch, qps, slo);
   ASSERT_TRUE(frac.has_value());
-  if (*frac > tuner.options().min_fraction + 0.01) {
+  if (*frac > Tuner::kMinFraction + 0.01) {
     // The tuner plans against the load-headroom-inflated budget.
-    double budget = PlanningLatencyBudgetMs(batch, qps * tuner.options().load_headroom, slo);
+    double budget = PlanningLatencyBudgetMs(batch, qps * Tuner::kLoadHeadroom, slo);
     EXPECT_GT(curve.Eval(*frac - 0.01), budget);
   }
 }
@@ -60,7 +60,7 @@ TEST(TunerEq4Test, ZeroQpsNeedsOnlyFloor) {
   Tuner tuner;
   auto frac = tuner.MinimalFraction(CurveForBatch(64), 64, 0.0, 100.0);
   ASSERT_TRUE(frac.has_value());
-  EXPECT_DOUBLE_EQ(*frac, tuner.options().min_fraction);
+  EXPECT_DOUBLE_EQ(*frac, Tuner::kMinFraction);
 }
 
 TEST(TunerEq4Test, HigherQpsNeedsMoreGpu) {
@@ -88,8 +88,8 @@ TEST(TunerPlacementTest, PicksFeasibleBatchMinimizingObjective) {
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(result.batch, 128);
   EXPECT_GT(result.inference_fraction, 0.0);
-  EXPECT_LE(result.inference_fraction, tuner.options().max_fraction);
-  EXPECT_LE(result.bo_iterations, tuner.options().bo.max_iterations);
+  EXPECT_LE(result.inference_fraction, Tuner::kMaxFraction);
+  EXPECT_LE(result.bo_iterations, 25u);  // §7.5: tuning converges within 25 iterations
   EXPECT_GT(result.tuning_time_ms, 0.0);
 }
 
@@ -102,8 +102,7 @@ TEST(TunerPlacementTest, AppliesTenPercentMargin) {
   auto raw = tuner.MinimalFraction(CurveForBatch(result.batch), result.batch, 200.0, 330.0);
   ASSERT_TRUE(raw.has_value());
   EXPECT_NEAR(result.inference_fraction,
-              std::clamp(*raw * 1.1, tuner.options().min_fraction,
-                         tuner.options().max_fraction),
+              std::clamp(*raw * 1.1, Tuner::kMinFraction, Tuner::kMaxFraction),
               1e-9);
 }
 
@@ -145,8 +144,7 @@ TEST(TunerQpsChangeTest, RetunesToFeasibleConfig) {
 }
 
 TEST(TunerQpsChangeTest, FallsBackToCurrentBatchWhenSearchFails) {
-  Tuner::Options options;
-  Tuner tuner(options);
+  Tuner tuner;
   // Construct a case where only the current batch is feasible: curve family
   // returns infeasible-everywhere except batch 512 at lenient SLO... use a
   // custom provider: batch != 512 → terrible latency.

@@ -106,12 +106,12 @@ TEST(LatencyStatTest, ResetClearsEverything) {
 // ---------------------------------------------------------------------------
 // PerfCollector / PerfRegion
 
-TEST(PerfCollectorTest, CountersIncrementAndSet) {
+TEST(PerfCollectorTest, SetCounterOverwrites) {
   PerfCollector collector;
-  collector.IncrementCounter("a");
-  collector.IncrementCounter("a", 4);
+  collector.SetCounter("a", 5);
+  collector.SetCounter("a", 3);
   collector.SetCounter("b", 7);
-  EXPECT_EQ(collector.counters().at("a"), 5u);
+  EXPECT_EQ(collector.counters().at("a"), 3u);
   EXPECT_EQ(collector.counters().at("b"), 7u);
 }
 
@@ -140,18 +140,9 @@ TEST(PerfRegionTest, NullCollectorIsSafeNoOp) {
   // not read the clock, which the determinism suite pins end-to-end.
 }
 
-TEST(PerfRegionTest, DisabledCollectorRecordsNothing) {
+TEST(PerfCollectorTest, RegionStatSampleFeedsRegion) {
   PerfCollector collector;
-  collector.set_enabled(false);
-  {
-    PerfRegion region(&collector, "scope");
-  }
-  EXPECT_TRUE(collector.regions().empty());
-}
-
-TEST(PerfCollectorTest, RecordValueFeedsRegion) {
-  PerfCollector collector;
-  collector.RecordValue("manual", 2.5);
+  collector.GetRegionStat("manual").Record(2.5);
   EXPECT_EQ(collector.regions().at("manual").count(), 1u);
   EXPECT_DOUBLE_EQ(collector.regions().at("manual").total_ms(), 2.5);
 }
@@ -295,8 +286,8 @@ TEST(PerfReportTest, AllocsCountOnlySinceTheSnapshot) {
 
 TEST(PerfReportTest, SnapshotsRegionsAndCounters) {
   PerfCollector collector;
-  collector.RecordValue("region.x", 1.0);
-  collector.RecordValue("region.x", 3.0);
+  collector.GetRegionStat("region.x").Record(1.0);
+  collector.GetRegionStat("region.x").Record(3.0);
   collector.SetCounter("counter.y", 42);
   PerfReport report = PerfReport::FromCollector(collector, ReadAllocStats());
   const RegionSummary* region = report.FindRegion("region.x");
@@ -311,7 +302,7 @@ TEST(PerfReportTest, SnapshotsRegionsAndCounters) {
 
 TEST(PerfReportTest, JsonRoundTripsThroughTheChecker) {
   PerfCollector collector;
-  collector.RecordValue("needs \"escaping\"\n", 1.5);
+  collector.GetRegionStat("needs \"escaping\"\n").Record(1.5);
   collector.SetCounter("events", 9);
   PerfReport report = PerfReport::FromCollector(collector, ReadAllocStats());
   StatusOr<JsonValue> doc = ParseJson(report.ToJsonString());
