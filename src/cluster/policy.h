@@ -106,7 +106,9 @@ class SchedulingEnv {
   virtual const PerfOracle& oracle() const = 0;
 
   // Telemetry sink for decision tracing; null when the harness runs without
-  // telemetry. Policies must treat it as observational only.
+  // telemetry. Non-null means enabled: an implementation returns null rather
+  // than a disabled sink, so callers test the pointer and nothing else.
+  // Policies must treat it as observational only.
   virtual Telemetry* telemetry() { return nullptr; }
 
   // Self-profiling collector (src/perf) for scoped wall-time regions and

@@ -278,7 +278,7 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
       }
       env.ApplyInferenceConfig(device_id, sub.batch, sub.inference_fraction);
       DistributeTrainingShares(env, device_id, sub.inference_fraction);
-      if (telemetry != nullptr && telemetry->enabled()) {
+      if (telemetry != nullptr) {
         telemetry->metrics().GetCounter("policy.partial_resumes").Increment();
         MUDI_TRACE_INSTANT(telemetry, "tuning", "tune_partial_resume", device_id, env.Now(),
                            telemetry::TraceArgs{
@@ -304,7 +304,7 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
       env.SetTrainingPaused(device_id, t.task_id, true);
     }
     env.ApplyInferenceConfig(device_id, current_batch, Tuner::kMaxFraction);
-    if (telemetry != nullptr && telemetry->enabled()) {
+    if (telemetry != nullptr) {
       auto& metrics = telemetry->metrics();
       metrics.GetCounter("policy.tunes_infeasible").Increment();
       metrics.GetCounter("policy.preempt_pauses").Increment(static_cast<double>(paused_now));
@@ -354,7 +354,7 @@ void MudiPolicy::TuneDevice(SchedulingEnv& env, int device_id, bool on_placement
   env.ApplyInferenceConfig(device_id, result.batch, result.inference_fraction);
   DistributeTrainingShares(env, device_id, result.inference_fraction);
 
-  if (telemetry != nullptr && telemetry->enabled()) {
+  if (telemetry != nullptr) {
     telemetry->metrics().GetCounter("policy.tunes").Increment();
     MUDI_TRACE_INSTANT(telemetry, "tuning", on_placement ? "tune_on_placement" : "tune_on_qps",
                        device_id, env.Now(),
@@ -420,9 +420,9 @@ void MudiPolicy::OnDeviceFailed(SchedulingEnv& env, int device_id,
   // included the dead device; drop them so displaced tasks are re-placed
   // against fresh state.
   predictor_->InvalidateCache();
-  if (env.telemetry() != nullptr && env.telemetry()->enabled()) {
-    env.telemetry()->metrics().GetCounter("policy.device_failures").Increment();
-    env.telemetry()->metrics().GetCounter("policy.trainings_displaced")
+  if (Telemetry* telemetry = env.telemetry(); telemetry != nullptr) {
+    telemetry->metrics().GetCounter("policy.device_failures").Increment();
+    telemetry->metrics().GetCounter("policy.trainings_displaced")
         .Increment(static_cast<double>(displaced.size()));
   }
 }
@@ -449,8 +449,8 @@ void MudiPolicy::OnControlPlaneRestart(SchedulingEnv& env) {
   // against observed state.
   predictor_->InvalidateCache();
   FitCache::Global().Clear();
-  if (env.telemetry() != nullptr && env.telemetry()->enabled()) {
-    env.telemetry()->metrics().GetCounter("policy.control_plane_restarts").Increment();
+  if (Telemetry* telemetry = env.telemetry(); telemetry != nullptr) {
+    telemetry->metrics().GetCounter("policy.control_plane_restarts").Increment();
   }
 }
 

@@ -165,6 +165,18 @@ class CalendarQueue {
 
   // Observational stats for perf counters.
   uint64_t migrations() const { return migrations_; }
+  // Item capacity held by the buckets plus the free list; O(buckets).
+  size_t retained_items() const {
+    size_t total = 0;
+    for (const Bucket& b : buckets_) {
+      total += b.items.capacity();
+    }
+    for (const std::vector<Item>& v : free_) {
+      total += v.capacity();
+    }
+    return total;
+  }
+  size_t free_buckets() const { return free_.size(); }
 
  private:
   struct Bucket {
@@ -207,6 +219,12 @@ class CalendarQueue {
       // NOLINTNEXTLINE(mudi-hot-path-alloc): capacity reused after warm-up
       b.items.insert(pos, item);
     } else {
+      if (b.items.capacity() == 0 && !free_.empty()) {
+        // An empty bucket holds no storage (ResetBucket gave it away); take
+        // the most recently freed vector before the first push.
+        b.items.swap(free_.back());
+        free_.pop_back();
+      }
       // Same capacity-reuse argument — perf_test's 0-alloc steady-state
       // proof covers this push_back.
       // NOLINTNEXTLINE(mudi-hot-path-alloc): capacity reused after warm-up
@@ -216,9 +234,18 @@ class CalendarQueue {
   }
   // MUDI_HOT_PATH_END
 
+  // Empties a bucket and moves its storage onto the free list, so capacity
+  // follows the live items instead of staying at every residue the clock has
+  // crossed. Pop order depends only on (time, seq), never on capacity. The
+  // free list grows to a one-way high-water mark, after which emplace_back
+  // reuses the list's own capacity.
   void ResetBucket(size_t idx) {
     Bucket& b = buckets_[idx];
     b.items.clear();
+    if (b.items.capacity() != 0) {
+      free_.emplace_back();
+      free_.back().swap(b.items);
+    }
     b.head = 0;
     b.sorted = false;
     occupied_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
@@ -283,6 +310,7 @@ class CalendarQueue {
   std::vector<Bucket> buckets_;
   std::vector<uint64_t> occupied_;
   std::priority_queue<Item, std::vector<Item>, Later> overflow_;
+  std::vector<std::vector<Item>> free_;  // emptied buckets' storage, LIFO
   int64_t base_tick_ = 0;    // window start; multiple of HalfWindow()
   int64_t cursor_tick_ = 0;  // tick of the bucket holding the current minimum
   size_t size_ = 0;

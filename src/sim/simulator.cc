@@ -16,6 +16,8 @@ void Simulator::ExportPerfCounters(perf::PerfCollector* collector) const {
   collector->SetCounter("sim.events_cancelled", events_cancelled_);
   collector->SetCounter("sim.events_pending", live_count_);
   collector->SetCounter("sim.calendar_migrations", queue_.migrations());
+  collector->SetCounter("sim.calendar_retained_items", queue_.retained_items());
+  collector->SetCounter("sim.calendar_free_buckets", queue_.free_buckets());
   collector->SetCounter("sim.arena_slabs", arena_.slabs());
 }
 

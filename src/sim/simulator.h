@@ -85,6 +85,8 @@ class Simulator {
   size_t arena_slabs() const { return arena_.slabs(); }
   size_t arena_high_water() const { return arena_.high_water(); }
   uint64_t calendar_migrations() const { return queue_.migrations(); }
+  size_t calendar_retained_items() const { return queue_.retained_items(); }
+  size_t calendar_free_buckets() const { return queue_.free_buckets(); }
 
   // Exports the dispatch totals into the self-profiling collector
   // ("sim.events_*" counters). Snapshot-style — called at end of run, so the

@@ -11,41 +11,45 @@ ConstantQps::ConstantQps(double qps) : qps_(qps) { MUDI_CHECK_GE(qps, 0.0); }
 
 double ConstantQps::QpsAt(TimeMs) const { return qps_; }
 
-FluctuatingQps::FluctuatingQps(Options options) : options_(options) {
+FluctuatingQps::FluctuatingQps(Options options) : options_(options), rng_(options.seed) {
   MUDI_CHECK_LT(options_.min_qps, options_.max_qps);
   MUDI_CHECK_GT(options_.step_ms, 0.0);
-  Rng rng(options_.seed);
-  size_t n = static_cast<size_t>(options_.horizon_ms / options_.step_ms) + 2;
-  samples_.reserve(n);
-  double range = options_.max_qps - options_.min_qps;
-  double level = rng.Uniform(options_.min_qps + 0.25 * range, options_.max_qps - 0.25 * range);
-  // Drift per step, re-drawn at inflection points.
-  double drift = rng.Uniform(-0.01, 0.01) * range;
-  for (size_t i = 0; i < n; ++i) {
-    samples_.push_back(level);
-    if (rng.Uniform() < options_.inflection_prob) {
-      drift = rng.Uniform(-0.02, 0.02) * range;
+  n_ = static_cast<size_t>(options_.horizon_ms / options_.step_ms) + 2;
+  range_ = options_.max_qps - options_.min_qps;
+  level_ = rng_.Uniform(options_.min_qps + 0.25 * range_, options_.max_qps - 0.25 * range_);
+  drift_ = rng_.Uniform(-0.01, 0.01) * range_;
+}
+
+void FluctuatingQps::ExtendTo(size_t count) const {
+  count = std::min(count, n_);
+  while (samples_.size() < count) {
+    samples_.push_back(level_);
+    if (rng_.Uniform() < options_.inflection_prob) {
+      drift_ = rng_.Uniform(-0.02, 0.02) * range_;
     }
-    level += drift + rng.Normal(0.0, options_.noise_frac * range);
-    if (level < options_.min_qps) {
-      level = options_.min_qps;
-      drift = std::abs(drift);
-    } else if (level > options_.max_qps) {
-      level = options_.max_qps;
-      drift = -std::abs(drift);
+    level_ += drift_ + rng_.Normal(0.0, options_.noise_frac * range_);
+    if (level_ < options_.min_qps) {
+      level_ = options_.min_qps;
+      drift_ = std::abs(drift_);
+    } else if (level_ > options_.max_qps) {
+      level_ = options_.max_qps;
+      drift_ = -std::abs(drift_);
     }
   }
 }
 
 double FluctuatingQps::QpsAt(TimeMs t) const {
   if (t <= 0.0) {
+    ExtendTo(1);
     return samples_.front();
   }
   double pos = t / options_.step_ms;
   size_t idx = static_cast<size_t>(pos);
-  if (idx + 1 >= samples_.size()) {
+  if (idx + 1 >= n_) {
+    ExtendTo(n_);
     return samples_.back();
   }
+  ExtendTo(idx + 2);
   double frac = pos - static_cast<double>(idx);
   return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
 }

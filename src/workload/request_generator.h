@@ -35,7 +35,14 @@ class ConstantQps : public QpsProfile {
 
 // Random-walk QPS between [min_qps, max_qps] with occasional inflection
 // points where the drift direction/steepness changes (Fig. 1(a) shape).
-// The walk is pre-sampled on a fixed grid so QpsAt is deterministic.
+// The walk lives on a fixed step_ms grid and is drawn lazily, in grid order:
+// QpsAt extends it only up to the highest sample a query has needed, so a
+// 60 s run of a 6-hour trace draws 14 samples instead of 4 322. The draws
+// are the ones an eager pass over the grid would make, so QpsAt(t) returns
+// the same bits for every t whatever order the queries come in.
+// Threading: the walk state is mutable behind the const QpsAt, which is
+// sound because one experiment runs on one thread and its ServingPlane is
+// the only caller during a run. Do not query one instance from two threads.
 class FluctuatingQps : public QpsProfile {
  public:
   struct Options {
@@ -54,8 +61,17 @@ class FluctuatingQps : public QpsProfile {
   double QpsAt(TimeMs t) const override;
 
  private:
+  // Draws grid samples in order until the first min(count, n_) exist.
+  void ExtendTo(size_t count) const;
+
   Options options_;
-  std::vector<double> samples_;
+  size_t n_ = 0;       // samples on the whole grid
+  double range_ = 0.0;  // max_qps - min_qps
+  // The walk's state after the last drawn sample (see the class comment).
+  mutable Rng rng_;
+  mutable double level_ = 0.0;
+  mutable double drift_ = 0.0;  // per step, re-drawn at inflection points
+  mutable std::vector<double> samples_;
 };
 
 // Multiplies an underlying profile by a constant factor (Fig. 15 loads).

@@ -6,6 +6,7 @@
 // allocation probe runs in its hooked configuration here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -258,6 +259,28 @@ TEST(MemProbeTest, QpsMonitorSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta.allocations, 0u);
   EXPECT_EQ(delta.deallocations, 0u);
   EXPECT_GT(sink, 0.0);
+}
+
+// Calendar storage follows the live items, not the residues the clock has
+// crossed. 1 000 tickers that fire at the same instants on a 20 ms grid fill
+// one bucket with 1 000 items per instant; over three laps of the 8192-bucket
+// calendar they touch about 1 200 residues. Without the bucket free
+// list each of those buckets would keep its ~1 024-item capacity.
+TEST(MemProbeTest, CalendarRetainsCapacityOnlyForLiveItems) {
+  Simulator sim;
+  uint64_t fired = 0;
+  uint64_t* out = &fired;
+  for (int i = 0; i < 1000; ++i) {
+    sim.SchedulePeriodic(0.0, 20.0, [out] { ++*out; });
+  }
+  size_t peak_live = 0;
+  for (TimeMs t = 0.0; t <= 3.0 * 8192.0; t += 20.0) {
+    sim.RunUntil(t);
+    peak_live = std::max(peak_live, sim.pending_events());
+  }
+  ASSERT_GT(fired, 1000u * 1000u);
+  EXPECT_EQ(peak_live, 1000u);
+  EXPECT_LE(sim.calendar_retained_items(), 4 * peak_live);
 }
 
 // ---------------------------------------------------------------------------

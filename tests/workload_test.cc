@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/workload/layers.h"
@@ -219,6 +221,84 @@ TEST(RequestGeneratorTest, FluctuatingBeyondHorizonClamps) {
   options.horizon_ms = 1000.0;
   FluctuatingQps qps(options);
   EXPECT_DOUBLE_EQ(qps.QpsAt(1e12), qps.QpsAt(1e13));
+}
+
+// The pre-lazy constructor loop, kept verbatim as the reference: it draws
+// the whole grid up front from the profile's own Rng.
+std::vector<double> EagerFluctuatingSamples(const FluctuatingQps::Options& options) {
+  Rng rng(options.seed);
+  size_t n = static_cast<size_t>(options.horizon_ms / options.step_ms) + 2;
+  std::vector<double> samples;
+  samples.reserve(n);
+  double range = options.max_qps - options.min_qps;
+  double level = rng.Uniform(options.min_qps + 0.25 * range, options.max_qps - 0.25 * range);
+  double drift = rng.Uniform(-0.01, 0.01) * range;
+  for (size_t i = 0; i < n; ++i) {
+    samples.push_back(level);
+    if (rng.Uniform() < options.inflection_prob) {
+      drift = rng.Uniform(-0.02, 0.02) * range;
+    }
+    level += drift + rng.Normal(0.0, options.noise_frac * range);
+    if (level < options.min_qps) {
+      level = options.min_qps;
+      drift = std::abs(drift);
+    } else if (level > options.max_qps) {
+      level = options.max_qps;
+      drift = -std::abs(drift);
+    }
+  }
+  return samples;
+}
+
+// The pre-lazy QpsAt over the eager samples.
+double EagerQpsAt(const std::vector<double>& samples, const FluctuatingQps::Options& options,
+                  TimeMs t) {
+  if (t <= 0.0) {
+    return samples.front();
+  }
+  double pos = t / options.step_ms;
+  size_t idx = static_cast<size_t>(pos);
+  if (idx + 1 >= samples.size()) {
+    return samples.back();
+  }
+  double frac = pos - static_cast<double>(idx);
+  return samples[idx] * (1.0 - frac) + samples[idx + 1] * frac;
+}
+
+// Lazy generation must return the eager trace's bits for every t, whatever
+// order the queries come in — exact equality, not DOUBLE_EQ.
+TEST(RequestGeneratorTest, LazyFluctuatingMatchesEagerBitForBit) {
+  FluctuatingQps::Options options;
+  options.horizon_ms = 10.0 * kMsPerMinute;  // 122 grid samples
+  std::vector<TimeMs> ascending;
+  for (TimeMs t = 0.0; t < options.horizon_ms + 2.0 * options.step_ms; t += 1234.5) {
+    ascending.push_back(t);
+  }
+  std::vector<TimeMs> descending(ascending.rbegin(), ascending.rend());
+  const std::vector<TimeMs> at_or_before_zero = {0.0, -1.0, -1e9};
+  const std::vector<TimeMs> past_horizon = {options.horizon_ms + options.step_ms, 1e12, 1e13};
+  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    options.seed = seed;
+    std::vector<double> eager = EagerFluctuatingSamples(options);
+    std::vector<TimeMs> shuffled = ascending;
+    Rng shuffle_rng(seed + 100);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      size_t j = static_cast<size_t>(shuffle_rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::swap(shuffled[i - 1], shuffled[j]);
+    }
+    const std::vector<TimeMs>* orders[] = {&ascending, &descending, &at_or_before_zero,
+                                           &past_horizon, &shuffled};
+    for (const std::vector<TimeMs>* order : orders) {
+      FluctuatingQps lazy(options);  // fresh instance per query order
+      for (TimeMs t : *order) {
+        EXPECT_EQ(lazy.QpsAt(t), EagerQpsAt(eager, options, t)) << "seed " << seed << " t " << t;
+      }
+      // Whatever was drawn first, the rest of the grid stays exact.
+      for (TimeMs t : ascending) {
+        EXPECT_EQ(lazy.QpsAt(t), EagerQpsAt(eager, options, t)) << "seed " << seed << " t " << t;
+      }
+    }
+  }
 }
 
 TEST(RequestGeneratorTest, ScaledQpsMultiplies) {
