@@ -17,7 +17,9 @@
 //   bench_throughput [--out=path] [--presets=a,b] [--systems=x,y]
 //   bench_throughput --validate=path     # schema-check an existing file
 //   bench_throughput --compare=base.json [--max-regress=0.2]
-//       run fresh, then print a per-(preset, policy) regression table vs base
+//       run fresh, then print a per-(preset, policy) regression table vs base;
+//       the gate is simulated seconds per wall second, which a change that
+//       removes events without removing simulated work does not lower
 //   bench_throughput --compare=base.json --against=new.json
 //       pure compare of two existing artifacts (no run)
 //
@@ -236,13 +238,13 @@ int ValidateFile(const std::string& path) {
 // Regression compare (--compare / --against / --max-regress).
 
 struct CompareEntry {
-  double events_per_sec = 0.0;
+  double sim_s_per_wall_s = 0.0;
   double decision_p50 = 0.0;
   double decision_p95 = 0.0;
 };
 using CompareMap = std::map<std::pair<std::string, std::string>, CompareEntry>;
 
-// Pulls (preset, policy) -> {events/s, decision p50/p95} out of a validated
+// Pulls (preset, policy) -> {sim-s/wall-s, decision p50/p95} out of a validated
 // mudi.bench_throughput.v1 document.
 CompareMap EntriesFromJson(const JsonValue& doc) {
   CompareMap entries;
@@ -250,7 +252,7 @@ CompareMap EntriesFromJson(const JsonValue& doc) {
   MUDI_CHECK(records != nullptr && records->is_array());
   for (const JsonValue& rec : records->array()) {
     CompareEntry entry;
-    entry.events_per_sec = rec.Find("events_per_sec")->number();
+    entry.sim_s_per_wall_s = rec.Find("sim_seconds_per_wall_second")->number();
     const JsonValue* decision = rec.Find("decision_latency_ms");
     entry.decision_p50 = decision->Find("p50")->number();
     entry.decision_p95 = decision->Find("p95")->number();
@@ -262,7 +264,8 @@ CompareMap EntriesFromJson(const JsonValue& doc) {
 CompareMap EntriesFromRecords(const std::vector<Record>& records) {
   CompareMap entries;
   for (const Record& r : records) {
-    entries[{r.preset, r.policy}] = CompareEntry{r.events_per_sec, r.decision.p50, r.decision.p95};
+    entries[{r.preset, r.policy}] =
+        CompareEntry{r.sim_seconds_per_wall_second, r.decision.p50, r.decision.p95};
   }
   return entries;
 }
@@ -280,14 +283,14 @@ StatusOr<CompareMap> LoadCompareFile(const std::string& path) {
 }
 
 // Prints the per-(preset, policy) regression table for every pair present in
-// both maps. With max_regress >= 0, returns 3 when any pair's events/s fell
-// by more than that fraction; otherwise returns 0.
+// both maps. With max_regress >= 0, returns 3 when any pair's simulated
+// seconds per wall second fell by more than that fraction; otherwise returns 0.
 int CompareAndPrint(const CompareMap& base, const CompareMap& fresh, double max_regress) {
   auto pct = [](double from, double to) {
     return from > 0.0 ? (to - from) / from * 100.0 : 0.0;
   };
-  std::printf("%-8s %-10s %14s %14s %8s %12s %12s %8s\n", "preset", "policy", "base ev/s",
-              "new ev/s", "ev/s%", "base p95 ms", "new p95 ms", "p95%");
+  std::printf("%-8s %-10s %14s %14s %8s %12s %12s %8s\n", "preset", "policy", "base sim/wall",
+              "new sim/wall", "sim/w%", "base p95 ms", "new p95 ms", "p95%");
   std::vector<std::string> regressed;
   size_t compared = 0;
   for (const auto& [key, now] : fresh) {
@@ -299,11 +302,11 @@ int CompareAndPrint(const CompareMap& base, const CompareMap& fresh, double max_
     }
     const CompareEntry& was = it->second;
     ++compared;
-    std::printf("%-8s %-10s %14.0f %14.0f %+7.1f%% %12.4f %12.4f %+7.1f%%\n", key.first.c_str(),
-                key.second.c_str(), was.events_per_sec, now.events_per_sec,
-                pct(was.events_per_sec, now.events_per_sec), was.decision_p95, now.decision_p95,
-                pct(was.decision_p95, now.decision_p95));
-    if (max_regress >= 0.0 && now.events_per_sec < was.events_per_sec * (1.0 - max_regress)) {
+    std::printf("%-8s %-10s %14.1f %14.1f %+7.1f%% %12.4f %12.4f %+7.1f%%\n", key.first.c_str(),
+                key.second.c_str(), was.sim_s_per_wall_s, now.sim_s_per_wall_s,
+                pct(was.sim_s_per_wall_s, now.sim_s_per_wall_s), was.decision_p95,
+                now.decision_p95, pct(was.decision_p95, now.decision_p95));
+    if (max_regress >= 0.0 && now.sim_s_per_wall_s < was.sim_s_per_wall_s * (1.0 - max_regress)) {
       regressed.push_back(key.first + "/" + key.second);
     }
   }
@@ -312,7 +315,7 @@ int CompareAndPrint(const CompareMap& base, const CompareMap& fresh, double max_
     return 2;
   }
   if (!regressed.empty()) {
-    std::fprintf(stderr, "[bench_throughput] events/s regressed >%.0f%% vs baseline:",
+    std::fprintf(stderr, "[bench_throughput] sim-s/wall-s regressed >%.0f%% vs baseline:",
                  max_regress * 100.0);
     for (const std::string& name : regressed) {
       std::fprintf(stderr, " %s", name.c_str());

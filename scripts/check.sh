@@ -39,9 +39,9 @@
 #            When the committed
 #            BENCH_throughput.json baseline exists, also re-runs the smoke
 #            preset at full scale and FAILS if any (preset, policy) pair's
-#            events/s regressed more than 20% against it (WARN instead of
-#            FAIL under --fast, so quick local iterations aren't blocked by
-#            machine noise).
+#            simulated seconds per wall second regressed more than 20%
+#            against it (WARN instead of FAIL under --fast, so quick local
+#            iterations aren't blocked by machine noise).
 #   chaos    the fault suites — device faults (Fault*), control-plane faults
 #            (CtrlFault*/ControlFault*/KvStore*), retry/backoff (Retr*), and
 #            the determinism replays — under the ASan+UBSan tree. Opt-in via
@@ -371,10 +371,12 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   # Regression gate against the committed perf-trajectory baseline. The
   # committed artifact was produced at full scale, so the gate re-runs the
   # smoke preset at full scale too (it is tiny — well under a minute) for an
-  # apples-to-apples events/s comparison; exit 3 means some (preset, policy)
-  # pair regressed past --max-regress.
+  # apples-to-apples comparison of simulated seconds per wall second (not
+  # events/s: a change that fires fewer events for the same simulated work
+  # lowers events/s while the run gets faster); exit 3 means some (preset,
+  # policy) pair regressed past --max-regress.
   if [ "$BENCH_RESULT" = PASS ] && [ -f BENCH_throughput.json ]; then
-    echo "== bench: smoke events/s vs committed BENCH_throughput.json (>20% fails) =="
+    echo "== bench: smoke sim-s/wall-s vs committed BENCH_throughput.json (>20% fails) =="
     REGRESS_OUT=$(mktemp -t bench_throughput_regress.XXXXXX.json)
     MUDI_BENCH_SCALE=1 "$BENCH_BIN" --presets=smoke --out="$REGRESS_OUT" \
       --compare=BENCH_throughput.json --max-regress=0.2
@@ -382,10 +384,10 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     rm -f "$REGRESS_OUT"
     if [ "$REGRESS_RC" -eq 3 ]; then
       if [ "$FAST_MODE" -eq 1 ]; then
-        echo "bench: smoke events/s regressed >20% vs baseline (WARN under --fast)"
+        echo "bench: smoke sim-s/wall-s regressed >20% vs baseline (WARN under --fast)"
         BENCH_RESULT=WARN
       else
-        echo "bench: smoke events/s regressed >20% vs committed baseline"
+        echo "bench: smoke sim-s/wall-s regressed >20% vs committed baseline"
         BENCH_RESULT=FAIL
       fi
     elif [ "$REGRESS_RC" -ne 0 ]; then

@@ -16,12 +16,12 @@
 #     --out-dir DIR     where .txt/.err/.json land          (default: bench_results)
 #     --scale S         export MUDI_BENCH_SCALE=S (0 < S <= 1)
 #     --compare F       after bench_throughput runs, print a per-(preset,
-#                       policy) events/s + decision-latency regression table
+#                       policy) sim-s/wall-s + decision-latency regression table
 #                       against baseline artifact F (a prior BENCH_throughput
 #                       .json, e.g. the committed one; or FILE.jsonl[:N] to
 #                       compare against history entry N — default: the last)
 #     --max-regress R   with --compare: fail the campaign when any pair's
-#                       events/s fell more than fraction R (0 < R < 1)
+#                       sim-s/wall-s fell more than fraction R (0 < R < 1)
 #     --list            print the default campaign bench list and exit
 #     bench ...         run only these benches (default: the full campaign)
 set -u
@@ -50,12 +50,14 @@ HISTORY_FILE=BENCH_history.jsonl
 
 # Appends one schema-tagged line to the committed BENCH_history.jsonl from a
 # fresh BENCH_throughput.json: the artifact flattened to a single line with a
-# "history" envelope ({schema, seq, recorded_utc, git}) spliced in as the
-# first key. Each line stays a valid bench_throughput document (the validator
-# tolerates the extra top-level key), so any entry works as a --compare
-# baseline directly.
+# "history" envelope ({schema, seq, recorded_utc, git, host}) spliced in as
+# the first key. `host` names the machine the timings come from (CPU model,
+# online CPUs, 1-minute load average when the run ended), so two entries
+# from different hosts or loads are not read as a code change. Each line
+# stays a valid bench_throughput document (the validator tolerates the extra
+# top-level key), so any entry works as a --compare baseline directly.
 append_history() {
-  local artifact="$1" seq stamp git_rev body
+  local artifact="$1" seq stamp git_rev body cpu load host
   seq=1
   if [[ -f "$HISTORY_FILE" ]]; then
     seq=$(($(wc -l < "$HISTORY_FILE") + 1))
@@ -63,8 +65,11 @@ append_history() {
   stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
   git_rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
   body=$(tr '\n' ' ' < "$artifact" | sed 's/^[^{]*{//')
-  printf '{"history":{"schema":"mudi.bench_history.v1","seq":%s,"recorded_utc":"%s","git":"%s"},%s\n' \
-    "$seq" "$stamp" "$git_rev" "$body" >> "$HISTORY_FILE"
+  cpu=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\')
+  load=$(cut -d' ' -f1 /proc/loadavg 2>/dev/null)
+  host=$(printf '{"cpu":"%s","nproc":%s,"loadavg_1m":%s}' "${cpu:-unknown}" "$(nproc)" "${load:-null}")
+  printf '{"history":{"schema":"mudi.bench_history.v1","seq":%s,"recorded_utc":"%s","git":"%s","host":%s},%s\n' \
+    "$seq" "$stamp" "$git_rev" "$host" "$body" >> "$HISTORY_FILE"
   echo "history: appended entry $seq to $HISTORY_FILE"
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/float_eq.h"
 #include "src/common/stats.h"
 #include "src/exp/cluster_experiment.h"
 
@@ -63,18 +64,42 @@ const InferenceServiceSpec& ServingPlane::Service(int device_id) const {
 }
 
 void ServingPlane::Start() {
+  // Devices with the same arrival tick share one sweep (all start at 0).
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    ScheduleServing(static_cast<int>(d), 0.0);
+    int device_id = static_cast<int>(d);
+    TimeMs tick = ArrivalTickMs(device_id);
+    auto same = std::find_if(sweeps_.begin(), sweeps_.end(),
+                             [tick](const ArrivalSweep& s) { return ExactEq(s.period, tick); });
+    if (same == sweeps_.end()) {
+      AddSweep(device_id, 0.0);
+    } else {
+      same->members.push_back(device_id);
+      replicas_[d].sweep = static_cast<size_t>(same - sweeps_.begin());
+    }
+    ScheduleSloWindows(device_id, 0.0);
   }
 }
 
-void ServingPlane::ScheduleServing(int device_id, TimeMs start) {
-  Replica& r = replicas_[static_cast<size_t>(device_id)];
+void ServingPlane::AddSweep(int device_id, TimeMs start) {
+  size_t index = sweeps_.size();
   TimeMs tick = ArrivalTickMs(device_id);
-  r.arrival_event =
-      sim_.SchedulePeriodic(start + tick, tick, [this, device_id] { ArrivalTick(device_id); });
-  r.slo_event = sim_.SchedulePeriodic(start + kSloWindowMs, kSloWindowMs,
-                                      [this, device_id] { CloseSloWindow(device_id); });
+  ArrivalSweep& sweep = sweeps_.emplace_back();
+  sweep.period = tick;
+  sweep.members.push_back(device_id);
+  sweep.event = sim_.SchedulePeriodic(start + tick, tick, [this, index] { RunSweep(index); });
+  replicas_[static_cast<size_t>(device_id)].sweep = index;
+}
+
+void ServingPlane::ScheduleSloWindows(int device_id, TimeMs start) {
+  replicas_[static_cast<size_t>(device_id)].slo_event = sim_.SchedulePeriodic(
+      start + kSloWindowMs, kSloWindowMs, [this, device_id] { CloseSloWindow(device_id); });
+}
+
+void ServingPlane::RunSweep(size_t sweep) {
+  // Ticks neither add nor remove members, so the list is stable here.
+  for (int device_id : sweeps_[sweep].members) {
+    ArrivalTick(device_id);
+  }
 }
 
 void ServingPlane::Reconfigure(int device_id, int batch, double gpu_fraction) {
@@ -157,7 +182,7 @@ void ServingPlane::ArrivalTick(int device_id) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
   const GpuDevice& dev = cluster_.device(static_cast<size_t>(device_id));
   if (!dev.healthy()) {
-    return;  // the periodic event is cancelled at failure; belt and braces
+    return;  // a failed device leaves its sweep; belt and braces
   }
   TimeMs now = sim_.Now();
   double tick = ArrivalTickMs(device_id);
@@ -328,18 +353,17 @@ void ServingPlane::CloseSloWindow(int device_id) {
 void ServingPlane::RouteCohort(int failed_device, const Cohort& cohort) {
   Replica& failed = replicas_[static_cast<size_t>(failed_device)];
   size_t service = cluster_.device(static_cast<size_t>(failed_device)).inference().service_index;
-  std::vector<int> survivors;
-  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
-    if (static_cast<int>(d) == failed_device) {
-      continue;
-    }
+  auto survives = [&](size_t d) {
     const GpuDevice& dev = cluster_.device(d);
-    if (dev.healthy() && dev.has_inference() && dev.inference().service_index == service) {
-      survivors.push_back(static_cast<int>(d));
-    }
+    return static_cast<int>(d) != failed_device && dev.healthy() && dev.has_inference() &&
+           dev.inference().service_index == service;
+  };
+  size_t survivors = 0;
+  for (size_t d = 0; d < cluster_.num_devices(); ++d) {
+    survivors += survives(d) ? 1 : 0;
   }
   TimeMs now = sim_.Now();
-  if (survivors.empty()) {
+  if (survivors == 0) {
     // No surviving replica of this service: the requests are lost.
     failed_requests_ += cohort.count;
     if (telemetry_.enabled()) {
@@ -347,7 +371,14 @@ void ServingPlane::RouteCohort(int failed_device, const Cohort& cohort) {
     }
     return;
   }
-  int target = survivors[failed.reroute_cursor % survivors.size()];
+  // Round-robin: the (cursor % survivors)-th survivor in device order.
+  size_t skip = failed.reroute_cursor % survivors;
+  int target = -1;
+  for (size_t d = 0; target < 0; ++d) {
+    if (survives(d) && skip-- == 0) {
+      target = static_cast<int>(d);
+    }
+  }
   ++failed.reroute_cursor;
   Replica& r = replicas_[static_cast<size_t>(target)];
   // The cohort keeps its original arrival time: failover detour latency
@@ -380,10 +411,17 @@ void ServingPlane::FailoverArrivalTick(int failed_device) {
 
 void ServingPlane::OnDeviceDown(int device_id, TimeMs now) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
-  // Stop every per-device event: arrivals, SLO windows, batch formation
-  // timeouts, the in-flight batch, and any shadow-instance reconfiguration.
+  // Leave the arrival sweep; the last member to leave cancels it.
+  ArrivalSweep& sweep = sweeps_[r.sweep];
+  sweep.members.erase(std::find(sweep.members.begin(), sweep.members.end(), device_id));
+  if (sweep.members.empty()) {
+    sim_.Cancel(sweep.event);
+    sweep.event = Simulator::kInvalidEventId;
+  }
+  // Stop every per-device event: SLO windows, batch formation timeouts, the
+  // in-flight batch, and any shadow-instance reconfiguration.
   for (Simulator::EventId* ev :
-       {&r.arrival_event, &r.slo_event, &r.timeout_event, &r.batch_event, &r.pending_event}) {
+       {&r.slo_event, &r.timeout_event, &r.batch_event, &r.pending_event}) {
     if (*ev != Simulator::kInvalidEventId) {
       sim_.Cancel(*ev);
       *ev = Simulator::kInvalidEventId;
@@ -446,7 +484,10 @@ void ServingPlane::OnDeviceUp(int device_id, TimeMs now) {
     sim_.Cancel(r.failover_event);
     r.failover_event = Simulator::kInvalidEventId;
   }
-  ScheduleServing(device_id, now);
+  // A sweep of its own, ticking from the recovery instant: joining the old
+  // sweep would move the replica's tick phase onto that sweep's grid.
+  AddSweep(device_id, now);
+  ScheduleSloWindows(device_id, now);
 }
 
 // ---------------------------------------------------------------------------

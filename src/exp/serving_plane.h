@@ -45,7 +45,8 @@ class ServingPlane {
   ServingPlane(const ExperimentOptions& options, Simulator& sim, ClusterState& cluster,
                const PerfOracle& oracle, Rng& rng, Telemetry& telemetry, Listener& listener);
 
-  // Schedules every replica's arrival ticks and SLO windows.
+  // Schedules the arrival sweeps (one per distinct arrival tick) and every
+  // replica's SLO windows.
   void Start();
 
   // Applies a batch/GPU% pair on the device agent: the batch at once, the
@@ -95,8 +96,10 @@ class ServingPlane {
     // Pending GPU% reconfiguration (shadow instance warming up).
     std::optional<std::pair<int, double>> pending_config;
     Simulator::EventId pending_event = Simulator::kInvalidEventId;
-    // Per-device periodic events, cancellable at failure time.
-    Simulator::EventId arrival_event = Simulator::kInvalidEventId;
+    // The arrival sweep the replica belongs to (index into sweeps_); unused
+    // while the device is down.
+    size_t sweep = 0;
+    // Per-device periodic SLO-window event, cancellable at failure time.
     Simulator::EventId slo_event = Simulator::kInvalidEventId;
     // While the device is down its traffic fails over to surviving replicas.
     Simulator::EventId failover_event = Simulator::kInvalidEventId;
@@ -116,8 +119,22 @@ class ServingPlane {
     double observed_time_ms = 0.0;
   };
 
+  // One periodic event that runs ArrivalTick for each member, in ascending
+  // device order: the order in which per-replica tick events at the same
+  // instant would fire. Members share the period and the start, so each
+  // member's tick times are the ones its own event would have produced.
+  struct ArrivalSweep {
+    TimeMs period = 0.0;
+    std::vector<int> members;
+    Simulator::EventId event = Simulator::kInvalidEventId;
+  };
+
   const InferenceServiceSpec& Service(int device_id) const;
-  void ScheduleServing(int device_id, TimeMs start);
+  // Starts a new one-member sweep for the device whose first tick is one
+  // period after `start`.
+  void AddSweep(int device_id, TimeMs start);
+  void ScheduleSloWindows(int device_id, TimeMs start);
+  void RunSweep(size_t sweep);
   void ArrivalTick(int device_id);
   void TryStartBatch(int device_id);
   // Completes the replica's in-flight batch (Replica::inflight).
@@ -140,6 +157,8 @@ class ServingPlane {
   Telemetry& telemetry_;
   Listener& listener_;
   std::vector<Replica> replicas_;
+  // Arrival sweeps; an emptied sweep is cancelled and its slot left unused.
+  std::vector<ArrivalSweep> sweeps_;
   // Reused buffers: the colocation of the batch being started, and the
   // latency window being sorted for a P99 read.
   std::vector<ColocatedTraining> colocated_;

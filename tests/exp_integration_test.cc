@@ -272,5 +272,115 @@ TEST(ExperimentBehaviourTest, ScaleQpsMultipliesFactory) {
   EXPECT_DOUBLE_EQ(after, 2.0 * before);
 }
 
+// ---------------------------------------------------------------------------
+// Arrival sweeps
+// ---------------------------------------------------------------------------
+
+// The simulated-cluster preset cut to 4 nodes x 4 GPUs, serving only.
+ExperimentOptions SixteenDeviceServingOptions(TimeMs horizon_ms) {
+  ExperimentOptions options = SimulatedClusterOptions(/*num_tasks=*/0, /*seed=*/7);
+  options.num_nodes = 4;
+  options.gpus_per_node = 4;
+  options.horizon_ms = horizon_ms;
+  options.arrival_tick_ms = 20.0;
+  return options;
+}
+
+TEST(ExperimentBehaviourTest, ArrivalSweepFiresOncePerTickInstant) {
+  ExperimentOptions options = SixteenDeviceServingOptions(1.0 * kMsPerSecond);
+  // At zero QPS a tick draws no request, so no batch or timeout events follow.
+  options.qps_factory = [](size_t, int) -> std::shared_ptr<const QpsProfile> {
+    return std::make_shared<ConstantQps>(0.0);
+  };
+  perf::PerfCollector collector;
+  options.perf = &collector;
+  RunPolicy("GSLICE", options);
+  // One sweep event at each of the 50 tick instants (20, 40, ..., 1000 ms)
+  // plus the utilisation sample at 1 s; an event per replica would be 800.
+  EXPECT_EQ(collector.counters().at("sim.events_fired"), 50u + 1u);
+}
+
+// 200 QPS, except none in [off_from_ms, off_to_ms).
+class GatedQps : public QpsProfile {
+ public:
+  GatedQps(TimeMs off_from_ms, TimeMs off_to_ms)
+      : off_from_ms_(off_from_ms), off_to_ms_(off_to_ms) {}
+  double QpsAt(TimeMs t) const override {
+    return t >= off_from_ms_ && t < off_to_ms_ ? 0.0 : 200.0;
+  }
+
+ private:
+  TimeMs off_from_ms_;
+  TimeMs off_to_ms_;
+};
+
+TEST(ExperimentBehaviourTest, ArrivalSweepSurvivesNodeFailure) {
+  // Node 1 (devices 4-7) fails at 2 s and recovers at 8 s. Its replicas see
+  // no traffic while down, so after the failure instant (which reroutes
+  // their queues) every request a survivor measures comes from its own
+  // arrival ticks.
+  constexpr TimeMs kDownMs = 2.0 * kMsPerSecond;
+  constexpr TimeMs kUpMs = 8.0 * kMsPerSecond;
+  auto on_failed_node = [](int d) { return d >= 4 && d < 8; };
+  auto options_until = [&](TimeMs horizon_ms) {
+    ExperimentOptions options = SixteenDeviceServingOptions(horizon_ms);
+    options.qps_factory = [on_failed_node](size_t, int d) -> std::shared_ptr<const QpsProfile> {
+      return std::make_shared<GatedQps>(on_failed_node(d) ? kDownMs : 0.0,
+                                        on_failed_node(d) ? kUpMs : 0.0);
+    };
+    options.fault_plan.FailNode(1, kDownMs, kUpMs - kDownMs);
+    return options;
+  };
+  struct Observed {
+    ExperimentResult result;
+    std::vector<double> qps;
+    std::vector<double> p99;
+  };
+  auto run = [&](TimeMs horizon_ms) {
+    ExperimentOptions options = options_until(horizon_ms);
+    PerfOracle profiling_oracle(options.oracle_seed);
+    auto policy = MakePolicy("GSLICE", profiling_oracle);
+    ClusterExperiment experiment(options, policy.get());
+    Observed observed{experiment.Run(), {}, {}};
+    for (int d = 0; d < 16; ++d) {
+      EXPECT_EQ(experiment.device(d).healthy(), !on_failed_node(d) || horizon_ms >= kUpMs) << d;
+      observed.qps.push_back(experiment.MeasuredQps(d));
+      observed.p99.push_back(experiment.MeasuredP99(d));
+    }
+    return observed;
+  };
+
+  // Mid-outage, the 5 s rate window (2.5 s, 7.5 s] lies wholly inside the
+  // outage.
+  Observed outage = run(7.5 * kMsPerSecond);
+  EXPECT_EQ(outage.result.faults.device_failures, 4u);
+  for (int d = 0; d < 16; ++d) {
+    if (!on_failed_node(d)) {
+      EXPECT_GT(outage.qps[static_cast<size_t>(d)], 0.0) << d;
+    }
+  }
+
+  // Six seconds after recovery, the window holds only post-recovery
+  // arrivals, and each recovered replica's monitor (reset at recovery) has
+  // latencies of requests it served.
+  Observed recovered = run(14.0 * kMsPerSecond);
+  EXPECT_EQ(recovered.result.faults.devices_recovered, 4u);
+  for (size_t d = 0; d < 16; ++d) {
+    EXPECT_GT(recovered.qps[d], 0.0) << d;
+    EXPECT_GT(recovered.p99[d], 0.0) << d;
+  }
+
+  Observed again = run(14.0 * kMsPerSecond);
+  EXPECT_EQ(again.qps, recovered.qps);
+  EXPECT_EQ(again.p99, recovered.p99);
+  ASSERT_EQ(again.result.per_service.size(), recovered.result.per_service.size());
+  for (const auto& [name, m] : recovered.result.per_service) {
+    const ServiceMetrics& other = again.result.per_service.at(name);
+    EXPECT_EQ(other.served_requests, m.served_requests) << name;
+    EXPECT_EQ(other.mean_latency_ms, m.mean_latency_ms) << name;
+    EXPECT_EQ(other.windows_total, m.windows_total) << name;
+  }
+}
+
 }  // namespace
 }  // namespace mudi
