@@ -239,12 +239,11 @@ int ValidateFile(const std::string& path) {
 
 struct CompareEntry {
   double sim_s_per_wall_s = 0.0;
-  double decision_p50 = 0.0;
   double decision_p95 = 0.0;
 };
 using CompareMap = std::map<std::pair<std::string, std::string>, CompareEntry>;
 
-// Pulls (preset, policy) -> {sim-s/wall-s, decision p50/p95} out of a validated
+// Pulls (preset, policy) -> {sim-s/wall-s, decision p95} out of a validated
 // mudi.bench_throughput.v1 document.
 CompareMap EntriesFromJson(const JsonValue& doc) {
   CompareMap entries;
@@ -253,9 +252,7 @@ CompareMap EntriesFromJson(const JsonValue& doc) {
   for (const JsonValue& rec : records->array()) {
     CompareEntry entry;
     entry.sim_s_per_wall_s = rec.Find("sim_seconds_per_wall_second")->number();
-    const JsonValue* decision = rec.Find("decision_latency_ms");
-    entry.decision_p50 = decision->Find("p50")->number();
-    entry.decision_p95 = decision->Find("p95")->number();
+    entry.decision_p95 = rec.Find("decision_latency_ms")->Find("p95")->number();
     entries[{rec.Find("preset")->string(), rec.Find("policy")->string()}] = entry;
   }
   return entries;
@@ -264,8 +261,7 @@ CompareMap EntriesFromJson(const JsonValue& doc) {
 CompareMap EntriesFromRecords(const std::vector<Record>& records) {
   CompareMap entries;
   for (const Record& r : records) {
-    entries[{r.preset, r.policy}] =
-        CompareEntry{r.sim_seconds_per_wall_second, r.decision.p50, r.decision.p95};
+    entries[{r.preset, r.policy}] = CompareEntry{r.sim_seconds_per_wall_second, r.decision.p95};
   }
   return entries;
 }

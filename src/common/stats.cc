@@ -75,6 +75,26 @@ bool AnyValueAbove(const std::vector<WeightedSample>& samples, double threshold)
                      [threshold](const WeightedSample& s) { return s.first > threshold; });
 }
 
+std::optional<double> WeightedP99FromTail(std::vector<WeightedSample>* tail,
+                                          double total_weight) {
+  double cum = total_weight;
+  for (const auto& [value, w] : *tail) {
+    cum -= w;
+  }
+  double target = 0.99 * total_weight;
+  if (tail->empty() || cum >= target) {
+    return std::nullopt;  // the below-threshold prefix already reaches the P99
+  }
+  std::sort(tail->begin(), tail->end());
+  for (const auto& [value, w] : *tail) {
+    cum += w;
+    if (cum >= target) {
+      return value;
+    }
+  }
+  return tail->back().first;
+}
+
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, size_t num_points) {
   std::vector<CdfPoint> cdf;
   if (values.empty()) {

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,20 @@ double WeightedP99(std::vector<WeightedSample>* samples);
 // of the values, so WeightedP99 can exceed a threshold only when this holds:
 // a caller that needs just that comparison skips the sort when it fails.
 bool AnyValueAbove(const std::vector<WeightedSample>& samples, double threshold);
+
+// WeightedP99 of a window from its tail only. `tail` holds exactly the
+// window's samples whose value is above some threshold, and `total_weight`
+// is the weight of the whole window. Returns the window's WeightedP99 when
+// that is one of the tail values (so it exceeds the threshold), and nullopt
+// when it lies at or below the threshold. Sorts `*tail` in place.
+//
+// The answer is bit-identical to WeightedP99 over the whole window when
+// every weight is a whole number and the total stays below 2^53: every
+// partial sum is then an exact integer whatever the order of addition, so
+// `total_weight - sum(tail)` is exactly the cumulative weight WeightedP99
+// holds after its below-threshold prefix, and the walk on from there visits
+// the same cumulative weights over the same sorted tail.
+std::optional<double> WeightedP99FromTail(std::vector<WeightedSample>* tail, double total_weight);
 
 // Empirical CDF evaluated at a fixed number of points, for plotting/reporting.
 struct CdfPoint {

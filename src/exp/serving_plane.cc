@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/common/float_eq.h"
@@ -199,8 +200,9 @@ void ServingPlane::ArrivalTick(int device_id) {
       Cohort shed = r.queue.front();
       r.queue.pop_front();
       r.queued -= shed.count;
-      double penalty = 10.0 * Service(device_id).slo_ms;
-      r.window_latencies.emplace_back(penalty, shed.count);
+      double slo_ms = Service(device_id).slo_ms;
+      double penalty = 10.0 * slo_ms;
+      r.RecordWindowLatency(penalty, shed.count, slo_ms);
       r.monitor.RecordLatency(penalty, shed.count);
       if (telemetry_.enabled()) {
         telemetry_.metrics().GetCounter("serving.shed_requests").Increment(shed.count);
@@ -281,10 +283,11 @@ void ServingPlane::FinishBatch(int device_id, double latency_ms) {
   r.batch_event = Simulator::kInvalidEventId;
   r.busy_accum_ms += now - r.busy_start;
   double batch_requests = 0.0;
+  double slo_ms = Service(device_id).slo_ms;
   for (const auto& [arrival, count] : r.inflight) {
     // End-to-end latency = queueing + batch service time.
     double e2e = now - arrival;
-    r.window_latencies.emplace_back(e2e, count);
+    r.RecordWindowLatency(e2e, count, slo_ms);
     r.monitor.RecordLatency(e2e, count);
     r.latency_weighted_sum += e2e * count;
     r.served += count;
@@ -310,19 +313,19 @@ void ServingPlane::CloseSloWindow(int device_id) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
   bool tainted = r.window_failure_tainted;
   r.window_failure_tainted = false;
-  if (r.window_latencies.empty()) {
+  if (r.window_samples == 0) {
     return;  // idle window: nothing to judge
   }
   ++r.windows_total;
-  // The window is cleared below, so the P99 sorts it in place. A window
-  // with no latency above the SLO cannot violate it and is not sorted.
+  // Only the tail above the SLO was kept, and only it is sorted. The verdict
+  // and the P99 are those WeightedP99 gives over the whole window: every
+  // weight recorded here is a whole request count (Poisson draws, and the
+  // integer splits batch formation makes of them; reroutes and failures
+  // move whole cohorts), so every weight sum is an exact integer in any
+  // order of addition.
   double slo_ms = Service(device_id).slo_ms;
-  double p99 = 0.0;
-  bool violated = false;
-  if (AnyValueAbove(r.window_latencies, slo_ms)) {
-    p99 = WeightedP99(&r.window_latencies);
-    violated = p99 > slo_ms;
-  }
+  std::optional<double> tail_p99 = WeightedP99FromTail(&r.window_tail, r.window_weight);
+  bool violated = tail_p99.has_value();
   if (violated) {
     ++r.windows_violated;
     if (tainted) {
@@ -338,12 +341,12 @@ void ServingPlane::CloseSloWindow(int device_id) {
       }
       MUDI_TRACE_INSTANT(&telemetry_, "slo", "window_violation", device_id, sim_.Now(),
                          telemetry::TraceArgs{
-                             telemetry::TraceArg::Num("p99_ms", p99),
+                             telemetry::TraceArg::Num("p99_ms", *tail_p99),
                              telemetry::TraceArg::Num("slo_ms", slo_ms),
                              telemetry::TraceArg::Num("failure_attributed", tainted ? 1.0 : 0.0)});
     }
   }
-  r.window_latencies.clear();
+  r.ClearWindow();
 }
 
 // ---------------------------------------------------------------------------
@@ -434,9 +437,10 @@ void ServingPlane::OnDeviceDown(int device_id, TimeMs now) {
   if (r.busy) {
     r.busy = false;
     r.busy_accum_ms += now - r.busy_start;
-    double penalty = 10.0 * Service(device_id).slo_ms;
+    double slo_ms = Service(device_id).slo_ms;
+    double penalty = 10.0 * slo_ms;
     for (const auto& [arrival, count] : r.inflight) {
-      r.window_latencies.emplace_back(penalty, count);
+      r.RecordWindowLatency(penalty, count, slo_ms);
       failed_requests_ += count;
       if (telemetry_.enabled()) {
         telemetry_.metrics().GetCounter("fault.failed_requests").Increment(count);
@@ -454,7 +458,7 @@ void ServingPlane::OnDeviceDown(int device_id, TimeMs now) {
   }
   // Judge the partial window now; subsequent windows belong to the failover
   // replicas (this replica's window clock stops until recovery).
-  if (!r.window_latencies.empty()) {
+  if (r.window_samples != 0) {
     r.window_failure_tainted = true;
   }
   CloseSloWindow(device_id);
@@ -477,7 +481,7 @@ void ServingPlane::OnDeviceUp(int device_id, TimeMs now) {
   inf.mem_required_mb = InferenceMemoryMb(Service(device_id), kInitialBatch);
   r.monitor = QpsMonitor();
   r.monitor.SetTelemetry(&telemetry_, device_id);
-  r.window_latencies.clear();
+  r.ClearWindow();
   r.window_failure_tainted = false;
 
   if (r.failover_event != Simulator::kInvalidEventId) {

@@ -104,8 +104,12 @@ class ServingPlane {
     // While the device is down its traffic fails over to surviving replicas.
     Simulator::EventId failover_event = Simulator::kInvalidEventId;
     size_t reroute_cursor = 0;  // deterministic round-robin over survivors
-    // SLO window accounting.
-    std::vector<WeightedSample> window_latencies;  // (latency, weight)
+    // SLO window accounting. The window keeps its sample count, its total
+    // weight and only the samples above the SLO: the window's P99 can exceed
+    // the SLO only when it is one of those (WeightedP99FromTail).
+    size_t window_samples = 0;
+    double window_weight = 0.0;
+    std::vector<WeightedSample> window_tail;  // (latency, weight) above the SLO
     // Failure touched this window (failed/re-routed requests landed in it):
     // a violation is attributed to the fault, not to load.
     bool window_failure_tainted = false;
@@ -117,6 +121,20 @@ class ServingPlane {
     // Swap-time accounting.
     double swapped_time_ms = 0.0;
     double observed_time_ms = 0.0;
+
+    // Adds `weight` requests that took `latency_ms` to the open SLO window.
+    void RecordWindowLatency(double latency_ms, double weight, double slo_ms) {
+      ++window_samples;
+      window_weight += weight;
+      if (latency_ms > slo_ms) {
+        window_tail.emplace_back(latency_ms, weight);
+      }
+    }
+    void ClearWindow() {
+      window_samples = 0;
+      window_weight = 0.0;
+      window_tail.clear();
+    }
   };
 
   // One periodic event that runs ArrivalTick for each member, in ascending

@@ -32,6 +32,9 @@
 #define SRC_SIM_CALENDAR_QUEUE_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -171,12 +174,20 @@ class CalendarQueue {
     for (const Bucket& b : buckets_) {
       total += b.items.capacity();
     }
-    for (const std::vector<Item>& v : free_) {
-      total += v.capacity();
+    for (const auto& list : free_) {
+      for (const std::vector<Item>& v : list) {
+        total += v.capacity();
+      }
     }
     return total;
   }
-  size_t free_buckets() const { return free_.size(); }
+  size_t free_buckets() const {
+    size_t total = 0;
+    for (const auto& list : free_) {
+      total += list.size();
+    }
+    return total;
+  }
 
  private:
   struct Bucket {
@@ -190,6 +201,9 @@ class CalendarQueue {
     }
     return a.seq < b.seq;
   }
+  // The largest capacity class an empty bucket takes storage from; larger
+  // vectors stay on the list for buckets that grow into them.
+  static constexpr size_t kSmallCapacity = 4;
   struct Later {
     bool operator()(const Item& a, const Item& b) const { return Before(b, a); }
   };
@@ -208,6 +222,9 @@ class CalendarQueue {
   void InsertBucket(const Item& item, int64_t tick) {
     size_t idx = IndexOf(tick);
     Bucket& b = buckets_[idx];
+    if (b.items.size() == b.items.capacity()) {
+      TakeFreeStorage(b);
+    }
     if (b.sorted) {
       // The bucket is or was under the cursor. Consumed items live in
       // [0, head); keep [head, end) ordered. By the usage contract the new
@@ -219,12 +236,6 @@ class CalendarQueue {
       // NOLINTNEXTLINE(mudi-hot-path-alloc): capacity reused after warm-up
       b.items.insert(pos, item);
     } else {
-      if (b.items.capacity() == 0 && !free_.empty()) {
-        // An empty bucket holds no storage (ResetBucket gave it away); take
-        // the most recently freed vector before the first push.
-        b.items.swap(free_.back());
-        free_.pop_back();
-      }
       // Same capacity-reuse argument — perf_test's 0-alloc steady-state
       // proof covers this push_back.
       // NOLINTNEXTLINE(mudi-hot-path-alloc): capacity reused after warm-up
@@ -236,19 +247,57 @@ class CalendarQueue {
 
   // Empties a bucket and moves its storage onto the free list, so capacity
   // follows the live items instead of staying at every residue the clock has
-  // crossed. Pop order depends only on (time, seq), never on capacity. The
-  // free list grows to a one-way high-water mark, after which emplace_back
-  // reuses the list's own capacity.
+  // crossed. Pop order depends only on (time, seq), never on capacity.
   void ResetBucket(size_t idx) {
     Bucket& b = buckets_[idx];
-    b.items.clear();
-    if (b.items.capacity() != 0) {
-      free_.emplace_back();
-      free_.back().swap(b.items);
-    }
+    ShelveStorage(b.items);
     b.head = 0;
     b.sorted = false;
     occupied_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
+  }
+
+  // A full bucket about to take one more item swaps in a free vector of the
+  // next capacity class up, the growth push_back would make anyway; an empty
+  // bucket takes one from the smallest non-empty class up to kSmallCapacity's.
+  // Without one, push_back grows the bucket itself. Capping the hand-off
+  // keeps a burst bucket's large vector on the list for the next burst
+  // instead of parking it under a single timer, while a growing burst still
+  // climbs the list's 2x chain without allocating. The items move in order
+  // ([head, end) compacted to the front), so the bucket's sortedness and pop
+  // order are unchanged.
+  void TakeFreeStorage(Bucket& b) {
+    size_t capacity = b.items.capacity();
+    size_t first = capacity == 0 ? 0 : CapacityClass(capacity) + 1;
+    size_t last = capacity == 0 ? CapacityClass(kSmallCapacity) : first;
+    for (size_t k = first; k <= last; ++k) {
+      if (free_[k].empty()) {
+        continue;
+      }
+      std::vector<Item> storage;
+      storage.swap(free_[k].back());
+      free_[k].pop_back();
+      storage.assign(b.items.begin() + static_cast<std::ptrdiff_t>(b.head), b.items.end());
+      b.items.swap(storage);
+      b.head = 0;
+      ShelveStorage(storage);
+      return;
+    }
+  }
+
+  // Clears `storage` and files it on the free list of its capacity class.
+  // Each list grows to a one-way high-water mark, after which emplace_back
+  // reuses its own capacity.
+  void ShelveStorage(std::vector<Item>& storage) {
+    if (storage.capacity() == 0) {
+      return;
+    }
+    storage.clear();
+    free_[CapacityClass(storage.capacity())].emplace_back().swap(storage);
+  }
+
+  // Class k holds capacities in [2^k, 2^(k+1)); capacity must be > 0.
+  static size_t CapacityClass(size_t capacity) {
+    return static_cast<size_t>(std::bit_width(capacity)) - 1;
   }
 
   // Pulls every overflow item that now fits the window into its bucket.
@@ -310,7 +359,8 @@ class CalendarQueue {
   std::vector<Bucket> buckets_;
   std::vector<uint64_t> occupied_;
   std::priority_queue<Item, std::vector<Item>, Later> overflow_;
-  std::vector<std::vector<Item>> free_;  // emptied buckets' storage, LIFO
+  // Emptied buckets' storage, one LIFO list per capacity class.
+  std::array<std::vector<std::vector<Item>>, 64> free_;
   int64_t base_tick_ = 0;    // window start; multiple of HalfWindow()
   int64_t cursor_tick_ = 0;  // tick of the bucket holding the current minimum
   size_t size_ = 0;

@@ -23,11 +23,19 @@ class EventArena {
   using Slot = uint32_t;
   static constexpr Slot kNullSlot = 0xFFFFFFFFu;
 
+  // An event's lifecycle. A slot holds at most one queue entry at a time
+  // (a periodic re-arm pushes only after the previous occurrence popped):
+  //   kDead      no entry in the queue (free, fired, or reaped)
+  //   kLive      scheduled entry pending
+  //   kCancelled entry still queued but cancelled; reaped when it reaches
+  //              the top of the queue
+  enum class State : uint8_t { kDead = 0, kLive = 1, kCancelled = 2 };
+
   struct Event {
     double time = 0.0;
     double period = 0.0;  // > 0 marks a periodic event
-    uint64_t seq = 0;
-    uint64_t id = 0;
+    uint64_t id = 0;      // the id of the event occupying (or last in) the slot
+    State state = State::kDead;
     SmallFunction<void()> cb;
   };
 
@@ -54,10 +62,12 @@ class EventArena {
     return next_fresh_++;
   }
 
-  // Destroys the slot's callback (releasing captured state now, not at some
-  // future reuse) and recycles the slot.
+  // Marks the slot's event dead, destroys its callback (releasing captured
+  // state now, not at some future reuse) and recycles the slot. The id stays
+  // until the slot is reused, so a stale id still finds its own dead event.
   void Recycle(Slot slot) {
     Event& ev = (*this)[slot];
+    ev.state = State::kDead;
     ev.cb = nullptr;
     // free_ only grows to the high-water mark of live events, then its
     // capacity is reused forever.

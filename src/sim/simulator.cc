@@ -21,32 +21,24 @@ void Simulator::ExportPerfCounters(perf::PerfCollector* collector) const {
   collector->SetCounter("sim.arena_slabs", arena_.slabs());
 }
 
-// MUDI_HOT_PATH  SetState/Push/Step run once (or more) per simulated event;
-// steady state is allocation-free (perf_test's alloc-hook proof). The two
-// NOLINTed growth sites below are one-way high-water-mark expansions.
-void Simulator::SetState(EventId id, EventState s) {
-  if (id >= state_.size()) {
-    // The state vector grows to the peak event-id once (ids are reused via
-    // the free list), then never again.
-    // NOLINTNEXTLINE(mudi-hot-path-alloc): one-way high-water-mark growth
-    state_.resize(static_cast<size_t>(id) + 1, static_cast<uint8_t>(EventState::kDead));
-  }
-  state_[id] = static_cast<uint8_t>(s);
-}
-
-Simulator::EventId Simulator::Push(TimeMs t, TimeMs period, Callback cb, EventId reuse_id) {
+// MUDI_HOT_PATH  Push/Cancel/Step run once (or more) per simulated event;
+// steady state is allocation-free (perf_test's alloc-hook proof).
+Simulator::EventId Simulator::Push(TimeMs t, TimeMs period, Callback cb) {
   MUDI_CHECK_GE(t, now_);
   MUDI_CHECK(cb);
-  EventId id = reuse_id != kInvalidEventId ? reuse_id : next_id_++;
   EventArena::Slot slot = arena_.Allocate();
+  // Both halves of the id must fit their bits: slot + 1 below 2^kSlotBits,
+  // the counter below 2^kCounterBits.
+  MUDI_CHECK_LT(uint64_t{slot}, kSlotMask);
+  MUDI_CHECK_LT(next_counter_, uint64_t{1} << kCounterBits);
+  EventId id = (next_counter_++ << kSlotBits) | (uint64_t{slot} + 1);
   EventArena::Event& ev = arena_[slot];
   ev.time = t;
   ev.period = period;
-  ev.seq = next_seq_++;
   ev.id = id;
+  ev.state = EventArena::State::kLive;
   ev.cb = std::move(cb);
-  queue_.Push(CalendarQueue::Item{t, ev.seq, slot});
-  SetState(id, EventState::kLive);
+  queue_.Push(CalendarQueue::Item{t, next_seq_++, slot});
   ++live_count_;
   ++events_scheduled_;
   return id;
@@ -69,11 +61,17 @@ Simulator::EventId Simulator::SchedulePeriodic(TimeMs start, TimeMs period, Call
 bool Simulator::Cancel(EventId id) {
   // Only ids with a live queue entry are cancellable: already-fired one-shots
   // and double-cancels fall through here instead of being recorded as stale
-  // cancellations that would corrupt pending_events() forever.
-  if (State(id) != EventState::kLive) {
+  // cancellations that would corrupt pending_events() forever. An id whose
+  // slot has since been reused fails the id match.
+  uint64_t slot_plus_one = id & kSlotMask;
+  if (slot_plus_one == 0 || slot_plus_one > arena_.high_water()) {
     return false;
   }
-  SetState(id, EventState::kCancelled);
+  EventArena::Event& ev = arena_[static_cast<EventArena::Slot>(slot_plus_one - 1)];
+  if (ev.id != id || ev.state != EventArena::State::kLive) {
+    return false;
+  }
+  ev.state = EventArena::State::kCancelled;
   MUDI_CHECK_GT(live_count_, 0u);
   --live_count_;
   ++stale_cancellations_;
@@ -83,11 +81,9 @@ bool Simulator::Cancel(EventId id) {
 
 bool Simulator::SkipCancelled() {
   while (const CalendarQueue::Item* top = queue_.PeekMin()) {
-    EventArena::Event& ev = arena_[top->slot];
-    if (State(ev.id) != EventState::kCancelled) {
+    if (arena_[top->slot].state != EventArena::State::kCancelled) {
       return true;
     }
-    SetState(ev.id, EventState::kDead);
     MUDI_CHECK_GT(stale_cancellations_, 0u);
     --stale_cancellations_;
     arena_.Recycle(top->slot);
@@ -112,15 +108,13 @@ bool Simulator::Step() {
     // The callback is then invoked from its (re-queued) slot; Cancel during
     // the call marks the state and the slot is reaped lazily.
     ev.time += ev.period;
-    ev.seq = next_seq_++;
-    queue_.Push(CalendarQueue::Item{ev.time, ev.seq, item.slot});
+    queue_.Push(CalendarQueue::Item{ev.time, next_seq_++, item.slot});
     ++events_scheduled_;
     ev.cb();
     return true;
   }
   // One-shot: move the callback out and recycle the slot *before* invoking,
   // so events the callback schedules reuse this still-cache-warm slot.
-  SetState(ev.id, EventState::kDead);
   MUDI_CHECK_GT(live_count_, 0u);
   --live_count_;
   Callback cb = std::move(ev.cb);

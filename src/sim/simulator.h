@@ -18,7 +18,6 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/small_function.h"
 #include "src/sim/calendar_queue.h"
@@ -40,9 +39,15 @@ constexpr TimeMs kMsPerHour = 60.0 * kMsPerMinute;
 class Simulator {
  public:
   using Callback = SmallFunction<void()>;
+  // An id packs the event's issue counter (high kCounterBits) with its arena
+  // slot + 1 (low kSlotBits), so it is never 0 and names the one slot that
+  // can hold its state. A reused slot holds a newer counter, so a stale id
+  // never matches it.
   using EventId = uint64_t;
 
   static constexpr EventId kInvalidEventId = 0;
+  static constexpr int kSlotBits = 24;
+  static constexpr int kCounterBits = 64 - kSlotBits;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -94,30 +99,19 @@ class Simulator {
   void ExportPerfCounters(perf::PerfCollector* collector) const;
 
  private:
-  // Per-id lifecycle, tracked in a flat vector indexed by EventId. An id has
-  // at most one queue entry at any time (periodic re-arm pushes only after
-  // the previous occurrence popped), so one byte of state suffices:
-  //   kDead      no entry in the queue (never issued / fired / reaped)
-  //   kLive      scheduled entry pending
-  //   kCancelled entry still queued but Cancel()ed; reaped by SkipCancelled
-  // This replaced two unordered_sets (live_/cancelled_): the per-event cost
-  // of two hash inserts + two hash erases became two byte writes, the top
-  // hot spot found by the src/perf self-attribution (see BENCH_throughput
-  // "sim.event-state-vector"). The vector grows one byte per id ever issued
-  // (ids are monotonic) — ~1 MB per million events, reset with the Simulator.
-  enum class EventState : uint8_t { kDead = 0, kLive = 1, kCancelled = 2 };
+  // Each event's lifecycle byte lives in its arena slot (EventArena::State),
+  // next to the id it checks, so Cancel and SkipCancelled touch only the slot
+  // they already read, and lifecycle tracking holds memory only for slots,
+  // not for every id ever issued (DESIGN.md §11).
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
 
-  EventId Push(TimeMs t, TimeMs period, Callback cb, EventId reuse_id = kInvalidEventId);
+  EventId Push(TimeMs t, TimeMs period, Callback cb);
   // Pops cancelled entries off the top; returns false when queue is empty.
   bool SkipCancelled();
-  EventState State(EventId id) const {
-    return id < state_.size() ? static_cast<EventState>(state_[id]) : EventState::kDead;
-  }
-  void SetState(EventId id, EventState s);
 
   TimeMs now_ = 0.0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
+  uint64_t next_counter_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t events_scheduled_ = 0;
   uint64_t events_cancelled_ = 0;
@@ -125,7 +119,6 @@ class Simulator {
   size_t live_count_ = 0;
   EventArena arena_;
   CalendarQueue queue_;
-  std::vector<uint8_t> state_;
 };
 
 }  // namespace mudi

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +69,96 @@ TEST(StatsTest, AnyValueAboveIsStrict) {
   EXPECT_TRUE(AnyValueAbove(samples, 8.0));
   EXPECT_FALSE(AnyValueAbove(samples, 9.0));
   EXPECT_FALSE(AnyValueAbove({}, 0.0));
+}
+
+// Judges `window` against `threshold` both ways: WeightedP99 over the whole
+// window, and WeightedP99FromTail over only the samples above the threshold
+// with the total weight summed in arrival order, as the serving plane keeps
+// its SLO windows. Both must agree on the verdict and on the P99's bits.
+void ExpectTailJudgementMatchesFullWindow(const std::vector<WeightedSample>& window,
+                                          double threshold) {
+  std::vector<WeightedSample> full = window;
+  double p99 = WeightedP99(&full);
+  bool violated = p99 > threshold;
+
+  std::vector<WeightedSample> tail;
+  double total_weight = 0.0;
+  for (const WeightedSample& s : window) {
+    total_weight += s.second;
+    if (s.first > threshold) {
+      tail.push_back(s);
+    }
+  }
+  std::optional<double> tail_p99 = WeightedP99FromTail(&tail, total_weight);
+  ASSERT_EQ(tail_p99.has_value(), violated) << "window of " << window.size();
+  if (violated) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(*tail_p99), std::bit_cast<uint64_t>(p99));
+  }
+}
+
+TEST(StatsTest, WeightedP99FromTailMatchesFullWindowOnRandomIntegerWeights) {
+  Rng rng(23);
+  size_t violated = 0;
+  size_t tail_but_not_violated = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto n = static_cast<size_t>(rng.UniformInt(1, 400));
+    // Few distinct latencies make ties (equal values, equal pairs) common.
+    double spread = rng.Uniform() < 0.3 ? 8.0 : 500.0;
+    std::vector<WeightedSample> window;
+    for (size_t i = 0; i < n; ++i) {
+      double latency = std::floor(rng.Uniform(0.0, spread)) * 0.37;
+      auto weight = static_cast<double>(rng.UniformInt(1, rng.Uniform() < 0.1 ? 5000 : 40));
+      window.emplace_back(latency, weight);
+    }
+    // The threshold is often one of the window's own values, often near the
+    // top, where the P99 sits.
+    std::vector<WeightedSample> sorted = window;
+    std::sort(sorted.begin(), sorted.end());
+    auto last = static_cast<int64_t>(n) - 1;
+    auto top_rank = static_cast<int64_t>(static_cast<double>(n) * 0.97);
+    double pick = rng.Uniform();
+    double threshold = rng.Uniform(0.0, spread * 0.37);
+    if (pick < 0.4) {
+      threshold = sorted[static_cast<size_t>(rng.UniformInt(top_rank, last))].first;
+    } else if (pick < 0.7) {
+      threshold = window[static_cast<size_t>(rng.UniformInt(0, last))].first;
+    }
+    ExpectTailJudgementMatchesFullWindow(window, threshold);
+    bool any_above = AnyValueAbove(window, threshold);
+    bool is_violated = WeightedP99(&sorted) > threshold;
+    violated += is_violated ? 1 : 0;
+    tail_but_not_violated += any_above && !is_violated ? 1 : 0;
+  }
+  // Every verdict path occurs often enough for the comparison to mean
+  // something: violated, and a non-empty tail that does not violate.
+  EXPECT_GT(violated, 200u);
+  EXPECT_GT(tail_but_not_violated, 200u);
+}
+
+TEST(StatsTest, WeightedP99FromTailBoundaryCases) {
+  // 0.99 * 100 is exactly 99: a below-SLO prefix weighing 99 reaches the
+  // P99 by itself, so the window is not violated.
+  ExpectTailJudgementMatchesFullWindow({{5.0, 60.0}, {50.0, 1.0}, {7.0, 39.0}}, 10.0);
+  std::vector<WeightedSample> at_target = {{50.0, 1.0}};
+  EXPECT_FALSE(WeightedP99FromTail(&at_target, 100.0));
+  // One unit short: the first tail sample lands the cumulative weight
+  // exactly on 99 and is the P99.
+  std::vector<WeightedSample> short_by_one = {{40.0, 1.0}, {30.0, 1.0}};
+  EXPECT_EQ(WeightedP99FromTail(&short_by_one, 100.0), std::optional<double>(30.0));
+  ExpectTailJudgementMatchesFullWindow({{5.0, 98.0}, {40.0, 1.0}, {30.0, 1.0}}, 10.0);
+  // Every sample above the SLO.
+  ExpectTailJudgementMatchesFullWindow({{20.0, 3.0}, {15.0, 1.0}, {90.0, 2.0}}, 10.0);
+  std::vector<WeightedSample> all_above = {{20.0, 3.0}, {15.0, 1.0}, {90.0, 2.0}};
+  EXPECT_EQ(WeightedP99FromTail(&all_above, 6.0), std::optional<double>(90.0));
+  // None above: nothing to sort, never violated.
+  ExpectTailJudgementMatchesFullWindow({{5.0, 3.0}, {10.0, 1.0}}, 10.0);
+  std::vector<WeightedSample> none;
+  EXPECT_FALSE(WeightedP99FromTail(&none, 4.0));
+  // A single sample, above and at the SLO.
+  ExpectTailJudgementMatchesFullWindow({{11.0, 1.0}}, 10.0);
+  ExpectTailJudgementMatchesFullWindow({{10.0, 1.0}}, 10.0);
+  std::vector<WeightedSample> single = {{11.0, 1.0}};
+  EXPECT_EQ(WeightedP99FromTail(&single, 1.0), std::optional<double>(11.0));
 }
 
 TEST(StatsTest, EmpiricalCdfMonotone) {

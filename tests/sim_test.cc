@@ -442,5 +442,50 @@ TEST(SimulatorTest, ArenaReusesSlotsAfterCancel) {
   EXPECT_LE(sim.arena_high_water(), 4u);
 }
 
+// An id names its arena slot and its issue: once the slot is recycled and
+// reused, the old id no longer matches, so cancelling it is a no-op that
+// leaves the slot's new event to fire.
+TEST(SimulatorTest, StaleIdCannotCancelTheEventThatReusedItsSlot) {
+  Simulator sim;
+  Simulator::EventId fired_id = sim.ScheduleAt(1.0, [] {});
+  sim.RunUntil(2.0);
+  Simulator::EventId cancelled_id = sim.ScheduleAt(3.0, [] {});
+  ASSERT_TRUE(sim.Cancel(cancelled_id));
+  sim.RunUntil(4.0);  // reaps the cancelled entry, recycling its slot
+  int fired = 0;
+  Simulator::EventId fresh = sim.ScheduleAt(5.0, [&] { ++fired; });
+  // LIFO recycling put all three events in the same slot.
+  ASSERT_EQ(sim.arena_high_water(), 1u);
+  EXPECT_NE(fresh, fired_id);
+  EXPECT_NE(fresh, cancelled_id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.Cancel(fired_id));
+  EXPECT_FALSE(sim.Cancel(cancelled_id));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A periodic event keeps its slot and id across re-arms, however many
+// one-shots churn through other slots meanwhile, and that id cancels it.
+TEST(SimulatorTest, PeriodicIdStaysCancellableAcrossReArms) {
+  Simulator sim;
+  int ticks = 0;
+  Simulator::EventId periodic = sim.SchedulePeriodic(1.0, 1.0, [&] { ++ticks; });
+  for (int i = 0; i < 50; ++i) {
+    sim.ScheduleAt(sim.Now() + 0.5, [] {});
+    sim.RunUntil(sim.Now() + 1.0);
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(ticks, 50);
+  EXPECT_TRUE(sim.Cancel(periodic));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(sim.Cancel(periodic));
+  sim.RunUntil(sim.Now() + 10.0);
+  EXPECT_EQ(ticks, 50);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace mudi
