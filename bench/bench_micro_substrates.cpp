@@ -4,12 +4,16 @@
 // simulation scales (events/sec) and how cheap Mudi's decision math is. The
 // *Fit benchmarks time one learner fit at Initialize's cross-validation shape
 // (24 rows of 12 features), and BM_SelectBestModelFit one whole model
-// selection over the 30 rows those folds come from;
-// `--benchmark_filter='Fit$'` runs just those.
+// selection over the 30 rows those folds come from, and
+// BM_InterferenceModelerColdFit the whole cold fit of Initialize on the real
+// offline profile; `--benchmark_filter='Fit(/|$)'` runs just those.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
+#include "src/core/interference_modeler.h"
+#include "src/core/latency_profiler.h"
 #include "src/gpu/perf_oracle.h"
+#include "src/ml/fit_cache.h"
 #include "src/ml/gaussian_process.h"
 #include "src/ml/mlp.h"
 #include "src/ml/model_selection.h"
@@ -162,6 +166,26 @@ void BM_SelectBestModelFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectBestModelFit);
+
+// Mudi's cold Initialize fit: all 24 selections of InterferenceModeler::Fit on
+// the offline profile MudiPolicy builds (oracle seed 42, default profiler
+// options, the observed training types), with the fit cache cleared so every
+// selection is computed. The synthetic *Fit data above has no all-zero
+// feature columns and few ties, so it under-reports changes to those paths.
+// CPU time is the whole process's: the fit fans out over FitPool workers.
+void BM_InterferenceModelerColdFit(benchmark::State& state) {
+  PerfOracle oracle(42);
+  LatencyProfiler profiler(oracle);
+  profiler.ProfileAll(ModelZoo::kNumObservedTrainingTypes);
+  for (auto _ : state) {
+    FitCache::Global().Clear();
+    InterferenceModeler modeler;
+    modeler.AddSamplesFromProfiler(profiler);
+    modeler.Fit();
+    benchmark::DoNotOptimize(modeler.last_fit_computed());
+  }
+}
+BENCHMARK(BM_InterferenceModelerColdFit)->MeasureProcessCPUTime()->UseRealTime();
 
 }  // namespace
 

@@ -34,8 +34,8 @@
 #            bench_fig18_overhead at MUDI_BENCH_SCALE=0.02 (micro-benchmarks
 #            filtered out) and fails unless both Fig. 18(b) tables report a
 #            non-zero placement count. It also runs the learner-fit micro-benchmarks
-#            (bench_micro_substrates --benchmark_filter='Fit$') and prints
-#            CPU ns per fit in the stage detail, without gating on them.
+#            (bench_micro_substrates --benchmark_filter='Fit(/|$)') and
+#            prints CPU ns per fit in the stage detail, without gating on them.
 #            When the committed
 #            BENCH_throughput.json baseline exists, also re-runs the smoke
 #            preset at full scale and FAILS if any (preset, policy) pair's
@@ -401,9 +401,10 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   echo "== bench: learner fit micro-benchmarks (informational) =="
   FIT_DETAIL=""
   if cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro_substrates > /dev/null; then
-    FIT_DETAIL=$("$BUILD_DIR"/bench/bench_micro_substrates --benchmark_filter='Fit$' \
+    # `/...` suffixes (process_time, real_time) name how a fit is timed.
+    FIT_DETAIL=$("$BUILD_DIR"/bench/bench_micro_substrates --benchmark_filter='Fit(/|$)' \
                    --benchmark_format=csv 2>/dev/null |
-                 awk -F, '/^"BM_/ { gsub(/"/, "", $1); sub(/^BM_/, "", $1);
+                 awk -F, '/^"BM_/ { gsub(/"/, "", $1); sub(/^BM_/, "", $1); sub(/\/.*/, "", $1);
                                     printf "%s%s=%.0f", sep, $1, $4; sep=" " }')
   fi
   echo "bench: cpu ns/fit: ${FIT_DETAIL:-unavailable}"

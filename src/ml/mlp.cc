@@ -1,8 +1,11 @@
 #include "src/ml/mlp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "src/common/check.h"
+#include "src/common/float_eq.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 
@@ -22,15 +25,18 @@ struct AdamStep {
 
 // One Adam step on N contiguous parameters whose gradients are g[k] * scale.
 // Each element sees exactly the scalar expression sequence of a textbook
-// per-weight Adam update, so vectorizing the loop cannot change a bit.
-template <size_t N>
+// per-weight Adam update, so vectorizing the loop cannot change a bit. Once
+// bc1 has rounded to exactly 1.0 (kBc1IsOne), m / bc1 == m for every double
+// and the division is dropped.
+template <size_t N, bool kBc1IsOne>
 void AdamUpdate(double* __restrict w, double* __restrict m, double* __restrict v,
                 const double* __restrict g, double scale, const AdamStep& s) {
   for (size_t k = 0; k < N; ++k) {
     double grad = g[k] * scale;
     m[k] = kBeta1 * m[k] + (1.0 - kBeta1) * grad;
     v[k] = kBeta2 * v[k] + (1.0 - kBeta2) * grad * grad;
-    w[k] -= s.lr * (m[k] / s.bc1) / (std::sqrt(v[k] / s.bc2) + kEps);
+    const double m_hat = kBc1IsOne ? m[k] : m[k] / s.bc1;
+    w[k] -= s.lr * m_hat / (std::sqrt(v[k] / s.bc2) + kEps);
   }
 }
 
@@ -98,7 +104,41 @@ void MlpRegressor::Fit(const std::vector<std::vector<double>>& x, const std::vec
     order[i] = i;
   }
 
+  // w1 rows of inputs that are ±0 on every training row. Their gradient
+  // delta[u] * (±0) is ±0 while every delta is finite, and from Adam's +0
+  // moments that update is an exact no-op (DESIGN.md §12.5), so `rows` lists
+  // only the other inputs until the first step with a non-finite delta.
+  // The forward pass still reads every input: dropping a ±0 term can flip
+  // the sign of a zero partial sum.
+  std::vector<size_t> rows(d);
+  size_t num_rows = 0;
+  for (size_t j = 0; j < d; ++j) {
+    bool all_zero = true;
+    for (size_t i = 0; i < n && all_zero; ++i) {
+      all_zero = ExactEq(xs[i * d + j], 0.0);
+    }
+    if (!all_zero) {
+      rows[num_rows++] = j;
+    }
+  }
+
+  // One step's Adam updates, with bc1 == 1 known at compile time.
+  auto adam_step = [&](auto bc1_is_one, const AdamStep& s, double err, const double* xi) {
+    constexpr bool kBc1IsOne = decltype(bc1_is_one)::value;
+    AdamUpdate<1, kBc1IsOne>(&b2_, &m_b2, &v_b2, &err, 1.0, s);
+    AdamUpdate<kH, kBc1IsOne>(w2_.data(), m_w2.data(), v_w2.data(), act.data(), err, s);
+    AdamUpdate<kH, kBc1IsOne>(b1_.data(), m_b1.data(), v_b1.data(), delta.data(), 1.0, s);
+    for (size_t r = 0; r < num_rows; ++r) {
+      const size_t j = rows[r];
+      AdamUpdate<kH, kBc1IsOne>(w1t_.data() + j * kH, m_w1.data() + j * kH,
+                                v_w1.data() + j * kH, delta.data(), xi[j], s);
+    }
+  };
+
   int step = 0;
+  // 1 - 0.9^t rounds to exactly 1.0 from step 356 on (0.9^t only shrinks),
+  // so std::pow for it stops once it has.
+  bool bc1_is_one = false;
   // MUDI_HOT_PATH  one SGD step per (epoch, row): the cold Initialize fit
   // runs it ~10^6 times, so the step body stays allocation-free.
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -122,15 +162,21 @@ void MlpRegressor::Fit(const std::vector<std::vector<double>>& x, const std::vec
       for (size_t u = 0; u < kH; ++u) {
         delta[u] = err * w2_[u] * (1.0 - act[u] * act[u]);
       }
+      if (num_rows < d &&
+          !std::all_of(delta.begin(), delta.end(), [](double g) { return std::isfinite(g); })) {
+        for (size_t j = 0; j < d; ++j) {
+          rows[j] = j;
+        }
+        num_rows = d;
+      }
       ++step;
-      const AdamStep s{options_.learning_rate, 1.0 - std::pow(kBeta1, step),
-                       1.0 - std::pow(kBeta2, step)};
-      AdamUpdate<1>(&b2_, &m_b2, &v_b2, &err, 1.0, s);
-      AdamUpdate<kH>(w2_.data(), m_w2.data(), v_w2.data(), act.data(), err, s);
-      AdamUpdate<kH>(b1_.data(), m_b1.data(), v_b1.data(), delta.data(), 1.0, s);
-      for (size_t j = 0; j < d; ++j) {
-        AdamUpdate<kH>(w1t_.data() + j * kH, m_w1.data() + j * kH, v_w1.data() + j * kH,
-                       delta.data(), xi[j], s);
+      AdamStep s{options_.learning_rate, 1.0, 1.0 - std::pow(kBeta2, step)};
+      if (bc1_is_one) {
+        adam_step(std::true_type{}, s, err, xi);
+      } else {
+        s.bc1 = 1.0 - std::pow(kBeta1, step);
+        bc1_is_one = ExactEq(s.bc1, 1.0);
+        adam_step(std::false_type{}, s, err, xi);
       }
     }
   }

@@ -305,6 +305,9 @@ TEST(ModelSelectionDifferentialTest, BoundedSelectionMatchesUnboundedReference) 
 
   const std::vector<RegressorFactory> zoo = DefaultRegressorZoo();
   size_t selections = 0;
+  // FNV-1a 64 over the bits of every learner's unbounded error, byte by byte
+  // little-endian: it pins the exact fit path of learners that never win.
+  uint64_t cv_digest = 0xcbf29ce484222325ull;
   for (size_t s = 0; s < num_services; ++s) {
     if (x[s].size() < 4) {
       continue;  // the modeler skips these services too
@@ -318,6 +321,10 @@ TEST(ModelSelectionDifferentialTest, BoundedSelectionMatchesUnboundedReference) 
       size_t ref = zoo.size();
       for (size_t f = 0; f < zoo.size(); ++f) {
         double err = KFoldRelativeError(zoo[f], x[s], ys, 5);
+        const uint64_t bits = std::bit_cast<uint64_t>(err);
+        for (int b = 0; b < 8; ++b) {
+          cv_digest = (cv_digest ^ ((bits >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+        }
         if (err < ref_err) {
           ref_err = err;
           ref = f;
@@ -345,6 +352,8 @@ TEST(ModelSelectionDifferentialTest, BoundedSelectionMatchesUnboundedReference) 
     }
   }
   EXPECT_GT(selections, 0u);
+  EXPECT_EQ(selections, 24u);
+  EXPECT_EQ(cv_digest, 0x8b5ffbc2c99b16efull) << "cv digest 0x" << std::hex << cv_digest;
   EXPECT_EQ(modeler.last_fit_computed(), selections);
   EXPECT_EQ(modeler.last_fit_cached(), 0u);
 }

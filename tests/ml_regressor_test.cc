@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/ml/knn.h"
 #include "src/ml/linear_regression.h"
 #include "src/ml/mlp.h"
@@ -131,6 +134,14 @@ TEST(RandomForestTest, ConstantTargetYieldsConstant) {
   EXPECT_NEAR(model.Predict({0.5, 0.5}), 7.0, 1e-9);
 }
 
+// With no row required per leaf, the split scan would read before the first
+// and past the last sorted entry.
+TEST(RandomForestTest, RejectsZeroMinSamplesLeaf) {
+  RandomForestOptions options;
+  options.min_samples_leaf = 0;
+  EXPECT_DEATH(RandomForestRegressor{options}, "min_samples_leaf");
+}
+
 TEST(SvrRegressorTest, LearnsSmoothFunction) {
   auto f = [](double a, double b) { return std::exp(-a) + 0.5 * b; };
   std::vector<std::vector<double>> x;
@@ -220,6 +231,387 @@ TEST(MlpRegressorTest, FitIsBitStable) {
     uint64_t bits = std::bit_cast<uint64_t>(KFoldRelativeError(zoo[f], x, y, 5));
     EXPECT_EQ(bits, kCvBits[f]) << zoo[f]()->name() << " bits 0x" << std::hex << bits;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests against textbook references
+// ---------------------------------------------------------------------------
+
+// The same model as MlpRegressor written as a textbook per-weight Adam loop:
+// both bias corrections come from std::pow on every step, and every weight
+// is updated on every step.
+class ReferenceMlp {
+ public:
+  explicit ReferenceMlp(MlpOptions options) : options_(options) {}
+
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) {
+    constexpr size_t kH = MlpRegressor::kHiddenUnits;
+    scaler_.Fit(x);
+    const std::vector<std::vector<double>> xs = scaler_.TransformAll(x);
+    const size_t n = x.size();
+    const size_t d = x[0].size();
+    y_mean_ = Mean(y);
+    const double sd = StdDev(y);
+    y_scale_ = sd > 1e-9 ? sd : 1.0;
+    std::vector<double> yn(n);
+    for (size_t i = 0; i < n; ++i) {
+      yn[i] = (y[i] - y_mean_) / y_scale_;
+    }
+
+    Rng rng(options_.seed);
+    const double init = 1.0 / std::sqrt(static_cast<double>(d));
+    w1_.assign(kH, std::vector<double>(d));
+    b1_.assign(kH, 0.0);
+    w2_.assign(kH, 0.0);
+    b2_ = 0.0;
+    for (size_t u = 0; u < kH; ++u) {
+      for (size_t j = 0; j < d; ++j) {
+        w1_[u][j] = rng.Uniform(-init, init);
+      }
+      w2_[u] = rng.Uniform(-init, init);
+    }
+
+    struct Moments {
+      double m = 0.0;
+      double v = 0.0;
+    };
+    std::vector<std::vector<Moments>> a_w1(kH, std::vector<Moments>(d));
+    std::vector<Moments> a_b1(kH), a_w2(kH);
+    Moments a_b2;
+    int step = 0;
+    double bc1 = 0.0, bc2 = 0.0;
+    auto adam = [&](double* w, Moments* a, double grad) {
+      a->m = 0.9 * a->m + (1.0 - 0.9) * grad;
+      a->v = 0.999 * a->v + (1.0 - 0.999) * grad * grad;
+      *w -= options_.learning_rate * (a->m / bc1) / (std::sqrt(a->v / bc2) + 1e-8);
+    };
+
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) {
+      order[i] = i;
+    }
+    std::vector<double> act(kH), delta(kH);
+    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
+      rng.Shuffle(order);
+      for (size_t i : order) {
+        double pred = b2_;
+        for (size_t u = 0; u < kH; ++u) {
+          double z = b1_[u];
+          for (size_t j = 0; j < d; ++j) {
+            z += w1_[u][j] * xs[i][j];
+          }
+          act[u] = std::tanh(z);
+          pred += w2_[u] * act[u];
+        }
+        const double err = pred - yn[i];
+        for (size_t u = 0; u < kH; ++u) {
+          delta[u] = err * w2_[u] * (1.0 - act[u] * act[u]);
+        }
+        ++step;
+        bc1 = 1.0 - std::pow(0.9, step);
+        bc2 = 1.0 - std::pow(0.999, step);
+        adam(&b2_, &a_b2, err);
+        for (size_t u = 0; u < kH; ++u) {
+          adam(&w2_[u], &a_w2[u], act[u] * err);
+          adam(&b1_[u], &a_b1[u], delta[u]);
+          for (size_t j = 0; j < d; ++j) {
+            adam(&w1_[u][j], &a_w1[u][j], delta[u] * xs[i][j]);
+          }
+        }
+      }
+    }
+  }
+
+  double Predict(const std::vector<double>& x) const {
+    const std::vector<double> q = scaler_.Transform(x);
+    double pred = b2_;
+    for (size_t u = 0; u < w1_.size(); ++u) {
+      double z = b1_[u];
+      for (size_t j = 0; j < q.size(); ++j) {
+        z += w1_[u][j] * q[j];
+      }
+      pred += w2_[u] * std::tanh(z);
+    }
+    return pred * y_scale_ + y_mean_;
+  }
+
+ private:
+  MlpOptions options_;
+  FeatureScaler scaler_;
+  double y_mean_ = 0.0;
+  double y_scale_ = 1.0;
+  std::vector<std::vector<double>> w1_;  // [unit][input]
+  std::vector<double> b1_, w2_;
+  double b2_ = 0.0;
+};
+
+// Skipping Adam updates that cannot change a bit (rows of all-zero inputs,
+// the bias correction once 1 - 0.9^t rounds to 1) must keep every prediction
+// bit of the textbook fit, with and without such rows and past the step
+// where that correction saturates.
+TEST(MlpDifferentialTest, MatchesTextbookAdamBitForBit) {
+  Rng rng(2024);
+  size_t cases = 0;
+  for (size_t n : {5, 24, 30}) {
+    for (size_t d : {1, 3, 12}) {
+      for (size_t zero_cols = 0; zero_cols <= std::min<size_t>(d, 4); ++zero_cols) {
+        for (size_t epochs : {300, 600}) {
+          SCOPED_TRACE(testing::Message() << "n " << n << " d " << d << " zero columns "
+                                          << zero_cols << " epochs " << epochs);
+          std::vector<std::vector<double>> x(n, std::vector<double>(d));
+          std::vector<double> y(n);
+          for (size_t i = 0; i < n; ++i) {
+            // The zero columns are spread over the row, not only at its end.
+            // The next column is ±1 summing to 0, so it scales to 0 on its
+            // first row (and last, for even n) but not on the others.
+            for (size_t j = 0; j < d; ++j) {
+              const size_t slot = (j * 7 + zero_cols) % d;
+              if (slot < zero_cols) {
+                x[i][j] = 0.0;
+              } else if (slot == zero_cols) {
+                x[i][j] = i == 0 || (i + 1 == n && n % 2 == 0) ? 0.0 : (i % 2 == 1 ? 1.0 : -1.0);
+              } else {
+                x[i][j] = rng.Uniform(-2.0, 5.0);
+              }
+            }
+            y[i] = 10.0 + 2.0 * x[i][0] - x[i][d - 1] * x[i][d / 2] + rng.Normal(0.0, 0.3);
+          }
+          MlpOptions options;
+          options.epochs = epochs;
+          options.seed = 13 + cases;
+          MlpRegressor mlp(options);
+          ReferenceMlp reference(options);
+          mlp.Fit(x, y);
+          reference.Fit(x, y);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(mlp.Predict(x[i])),
+                      std::bit_cast<uint64_t>(reference.Predict(x[i])))
+                << "row " << i;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 3u * (2 + 4 + 5));
+}
+
+// A non-finite feature poisons the gradients from the first step on; the fit
+// must still follow the textbook loop (every row updated) bit for bit.
+TEST(MlpDifferentialTest, NonFiniteFeatureMatchesTextbookAdam) {
+  Rng rng(77);
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<std::vector<double>> x(24, std::vector<double>(12));
+    std::vector<double> y(24);
+    for (size_t i = 0; i < x.size(); ++i) {
+      for (size_t j = 0; j < 12; ++j) {
+        x[i][j] = j % 4 == 1 ? 0.0 : rng.Uniform(0.0, 3.0);
+      }
+      y[i] = 5.0 + x[i][0] - x[i][6];
+    }
+    x[9][6] = bad;
+    MlpOptions options;
+    options.epochs = 300;
+    MlpRegressor mlp(options);
+    ReferenceMlp reference(options);
+    mlp.Fit(x, y);
+    reference.Fit(x, y);
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(mlp.Predict(x[i])),
+                std::bit_cast<uint64_t>(reference.Predict(x[i])))
+          << "bad " << bad << " row " << i;
+    }
+  }
+}
+
+// The same forest as RandomForestRegressor with the textbook split search:
+// every node copies its rows' (value, target) pairs per candidate feature and
+// sorts them, and children get fresh index vectors.
+class ReferenceForest {
+ public:
+  explicit ReferenceForest(RandomForestOptions options) : options_(options) {}
+
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) {
+    const size_t d = x[0].size();
+    Rng rng(options_.seed);
+    trees_.clear();
+    const size_t features_per_split = std::max<size_t>(
+        1, static_cast<size_t>(std::ceil(options_.feature_fraction * static_cast<double>(d))));
+    for (size_t t = 0; t < options_.num_trees; ++t) {
+      std::vector<size_t> root_idx(x.size());
+      for (size_t& i : root_idx) {
+        i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(x.size()) - 1));
+      }
+      std::vector<Node>& nodes = trees_.emplace_back();
+      struct Item {
+        std::vector<size_t> idx;
+        size_t depth;
+        size_t slot;
+      };
+      std::vector<Item> stack;
+      nodes.emplace_back();
+      stack.push_back({std::move(root_idx), 0, 0});
+      while (!stack.empty()) {
+        Item item = std::move(stack.back());
+        stack.pop_back();
+        double sum = 0.0;
+        for (size_t i : item.idx) {
+          sum += y[i];
+        }
+        const double mean = sum / static_cast<double>(item.idx.size());
+        nodes[item.slot].value = mean;
+        double sse = 0.0;
+        for (size_t i : item.idx) {
+          sse += (y[i] - mean) * (y[i] - mean);
+        }
+        if (item.depth >= options_.max_depth ||
+            item.idx.size() < 2 * options_.min_samples_leaf || !(sse > 1e-12)) {
+          continue;
+        }
+        std::vector<int> features(d);
+        for (size_t j = 0; j < d; ++j) {
+          features[j] = static_cast<int>(j);
+        }
+        rng.Shuffle(features);
+        features.resize(features_per_split);
+
+        int best_feature = -1;
+        double best_threshold = 0.0;
+        double best_score = std::numeric_limits<double>::infinity();
+        for (int f : features) {
+          std::vector<std::pair<double, double>> col;
+          for (size_t i : item.idx) {
+            col.emplace_back(x[i][static_cast<size_t>(f)], y[i]);
+          }
+          std::sort(col.begin(), col.end());
+          const size_t n = col.size();
+          std::vector<double> prefix_sum(n + 1, 0.0), prefix_sq(n + 1, 0.0);
+          for (size_t i = 0; i < n; ++i) {
+            prefix_sum[i + 1] = prefix_sum[i] + col[i].second;
+            prefix_sq[i + 1] = prefix_sq[i] + col[i].second * col[i].second;
+          }
+          const size_t leaf = options_.min_samples_leaf;
+          for (size_t split = leaf; split + leaf <= n; ++split) {
+            if (col[split - 1].first == col[split].first) {
+              continue;
+            }
+            const double ls = prefix_sum[split], lq = prefix_sq[split];
+            const double rs = prefix_sum[n] - ls, rq = prefix_sq[n] - lq;
+            const double nl = static_cast<double>(split);
+            const double nr = static_cast<double>(n - split);
+            const double score = (lq - ls * ls / nl) + (rq - rs * rs / nr);
+            if (score < best_score) {
+              best_score = score;
+              best_feature = f;
+              best_threshold = 0.5 * (col[split - 1].first + col[split].first);
+            }
+          }
+        }
+        if (best_feature < 0) {
+          continue;
+        }
+        std::vector<size_t> left, right;
+        for (size_t i : item.idx) {
+          (x[i][static_cast<size_t>(best_feature)] <= best_threshold ? left : right).push_back(i);
+        }
+        if (left.size() < options_.min_samples_leaf || right.size() < options_.min_samples_leaf) {
+          continue;
+        }
+        Node& node = nodes[item.slot];
+        node.feature = best_feature;
+        node.threshold = best_threshold;
+        node.left = nodes.size();
+        node.right = nodes.size() + 1;
+        nodes.resize(nodes.size() + 2);
+        stack.push_back({std::move(left), item.depth + 1, nodes[item.slot].left});
+        stack.push_back({std::move(right), item.depth + 1, nodes[item.slot].right});
+      }
+    }
+  }
+
+  double Predict(const std::vector<double>& x) const {
+    double sum = 0.0;
+    for (const std::vector<Node>& nodes : trees_) {
+      size_t at = 0;
+      while (nodes[at].feature >= 0) {
+        at = x[static_cast<size_t>(nodes[at].feature)] <= nodes[at].threshold ? nodes[at].left
+                                                                              : nodes[at].right;
+      }
+      sum += nodes[at].value;
+    }
+    return sum / static_cast<double>(trees_.size());
+  }
+
+ private:
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    double value = 0.0;
+    size_t left = 0;
+    size_t right = 0;
+  };
+
+  RandomForestOptions options_;
+  std::vector<std::vector<Node>> trees_;
+};
+
+// Tie-heavy data is where a split search can silently change: integer
+// features with few levels, integer targets, duplicate rows, constant
+// columns. The forest must predict the same bits as the per-node-sort
+// reference on every dataset and query.
+TEST(RandomForestDifferentialTest, MatchesPerNodeSortReferenceBitForBit) {
+  Rng rng(99);
+  size_t queries = 0;
+  for (size_t c = 0; c < 300; ++c) {
+    const size_t n = 2 + c % 39;
+    const size_t d = 1 + c % 5;
+    const int64_t levels = 1 + static_cast<int64_t>(c % 4);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng.Uniform() < 0.2) {
+        // Duplicate an earlier row, target included.
+        const size_t from = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+        x.push_back(x[from]);
+        y.push_back(y[from]);
+        continue;
+      }
+      std::vector<double> row(d);
+      for (size_t j = 0; j < d; ++j) {
+        // Column 0 is constant in every third dataset.
+        row[j] = j == 0 && c % 3 == 0 ? 1.5 : static_cast<double>(rng.UniformInt(0, levels));
+      }
+      x.push_back(std::move(row));
+      y.push_back(c % 2 == 0 ? static_cast<double>(rng.UniformInt(-2, 2))
+                             : rng.Uniform(-1.0, 1.0) + x.back()[d - 1]);
+    }
+    RandomForestOptions options;
+    options.num_trees = 6;
+    options.min_samples_leaf = 1 + c % 3;
+    options.max_depth = std::array<size_t, 4>{1, 2, 4, 8}[c % 4];
+    options.feature_fraction = c % 5 == 0 ? 1.0 : 0.6;
+    options.seed = 1000 + c;
+    SCOPED_TRACE(testing::Message() << "dataset " << c << " n " << n << " d " << d
+                                    << " min_samples_leaf " << options.min_samples_leaf
+                                    << " max_depth " << options.max_depth);
+    RandomForestRegressor forest(options);
+    ReferenceForest reference(options);
+    forest.Fit(x, y);
+    reference.Fit(x, y);
+    for (size_t q = 0; q < 200; ++q) {
+      // Half-integer queries land exactly on split thresholds.
+      std::vector<double> query(d);
+      for (double& v : query) {
+        v = 0.5 * static_cast<double>(rng.UniformInt(-1, 2 * levels + 1));
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(forest.Predict(query)),
+                std::bit_cast<uint64_t>(reference.Predict(query)))
+          << "query " << q;
+      ++queries;
+    }
+  }
+  EXPECT_EQ(queries, 300u * 200u);
 }
 
 // Parameterized: every zoo regressor fits a simple linear map acceptably.
