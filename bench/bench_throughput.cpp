@@ -16,20 +16,16 @@
 // Usage:
 //   bench_throughput [--out=path] [--presets=a,b] [--systems=x,y]
 //   bench_throughput --validate=path     # schema-check an existing file
-//   bench_throughput --compare=base.json [--max-regress=0.2]
-//       run fresh, then print a per-(preset, policy) regression table vs base;
-//       the gate is simulated seconds per wall second, which a change that
-//       removes events without removing simulated work does not lower
-//   bench_throughput --compare=base.json --against=new.json
-//       pure compare of two existing artifacts (no run)
+//
+// A record is one host's timing of one run, so two artifacts from different
+// hosts or loads do not compare. The perf gate is scripts/ab_bench.py, which
+// builds the parent and the change on one host and runs them interleaved.
 //
 // MUDI_BENCH_SCALE scales task counts as in every other bench.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -234,94 +230,6 @@ int ValidateFile(const std::string& path) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Regression compare (--compare / --against / --max-regress).
-
-struct CompareEntry {
-  double sim_s_per_wall_s = 0.0;
-  double decision_p95 = 0.0;
-};
-using CompareMap = std::map<std::pair<std::string, std::string>, CompareEntry>;
-
-// Pulls (preset, policy) -> {sim-s/wall-s, decision p95} out of a validated
-// mudi.bench_throughput.v1 document.
-CompareMap EntriesFromJson(const JsonValue& doc) {
-  CompareMap entries;
-  const JsonValue* records = doc.Find("records");
-  MUDI_CHECK(records != nullptr && records->is_array());
-  for (const JsonValue& rec : records->array()) {
-    CompareEntry entry;
-    entry.sim_s_per_wall_s = rec.Find("sim_seconds_per_wall_second")->number();
-    entry.decision_p95 = rec.Find("decision_latency_ms")->Find("p95")->number();
-    entries[{rec.Find("preset")->string(), rec.Find("policy")->string()}] = entry;
-  }
-  return entries;
-}
-
-CompareMap EntriesFromRecords(const std::vector<Record>& records) {
-  CompareMap entries;
-  for (const Record& r : records) {
-    entries[{r.preset, r.policy}] = CompareEntry{r.sim_seconds_per_wall_second, r.decision.p95};
-  }
-  return entries;
-}
-
-StatusOr<CompareMap> LoadCompareFile(const std::string& path) {
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  Status valid = perf::ValidateBenchThroughputJson(*doc);
-  if (!valid.ok()) {
-    return valid;
-  }
-  return EntriesFromJson(*doc);
-}
-
-// Prints the per-(preset, policy) regression table for every pair present in
-// both maps. With max_regress >= 0, returns 3 when any pair's simulated
-// seconds per wall second fell by more than that fraction; otherwise returns 0.
-int CompareAndPrint(const CompareMap& base, const CompareMap& fresh, double max_regress) {
-  auto pct = [](double from, double to) {
-    return from > 0.0 ? (to - from) / from * 100.0 : 0.0;
-  };
-  std::printf("%-8s %-10s %14s %14s %8s %12s %12s %8s\n", "preset", "policy", "base sim/wall",
-              "new sim/wall", "sim/w%", "base p95 ms", "new p95 ms", "p95%");
-  std::vector<std::string> regressed;
-  size_t compared = 0;
-  for (const auto& [key, now] : fresh) {
-    auto it = base.find(key);
-    if (it == base.end()) {
-      std::printf("%-8s %-10s %14s\n", key.first.c_str(), key.second.c_str(),
-                  "(new, no base)");
-      continue;
-    }
-    const CompareEntry& was = it->second;
-    ++compared;
-    std::printf("%-8s %-10s %14.1f %14.1f %+7.1f%% %12.4f %12.4f %+7.1f%%\n", key.first.c_str(),
-                key.second.c_str(), was.sim_s_per_wall_s, now.sim_s_per_wall_s,
-                pct(was.sim_s_per_wall_s, now.sim_s_per_wall_s), was.decision_p95,
-                now.decision_p95, pct(was.decision_p95, now.decision_p95));
-    if (max_regress >= 0.0 && now.sim_s_per_wall_s < was.sim_s_per_wall_s * (1.0 - max_regress)) {
-      regressed.push_back(key.first + "/" + key.second);
-    }
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "[bench_throughput] no (preset, policy) pairs in common\n");
-    return 2;
-  }
-  if (!regressed.empty()) {
-    std::fprintf(stderr, "[bench_throughput] sim-s/wall-s regressed >%.0f%% vs baseline:",
-                 max_regress * 100.0);
-    for (const std::string& name : regressed) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 3;
-  }
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_throughput.json";
   // "smoke" leads deliberately: it profiles the same curves as "small" (same
@@ -330,9 +238,6 @@ int Main(int argc, char** argv) {
   // and repeated initializations actually take.
   std::vector<std::string> preset_names = {"smoke", "small", "medium", "large"};
   std::vector<std::string> systems(std::begin(kAllSystems), std::end(kAllSystems));
-  std::string compare_path;
-  std::string against_path;
-  double max_regress = -1.0;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -347,46 +252,15 @@ int Main(int argc, char** argv) {
       systems = SplitCsv(value_of("--systems="));
     } else if (arg.rfind("--validate=", 0) == 0) {
       return ValidateFile(value_of("--validate="));
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = value_of("--compare=");
-    } else if (arg.rfind("--against=", 0) == 0) {
-      against_path = value_of("--against=");
-    } else if (arg.rfind("--max-regress=", 0) == 0) {
-      max_regress = std::atof(value_of("--max-regress=").c_str());
-      MUDI_CHECK_GT(max_regress, 0.0);
-      MUDI_CHECK_LT(max_regress, 1.0);
     } else {
       std::fprintf(stderr,
                    "usage: bench_throughput [--out=path] [--presets=a,b] [--systems=x,y]\n"
-                   "       bench_throughput --validate=path\n"
-                   "       bench_throughput --compare=base.json [--against=new.json]\n"
-                   "                        [--max-regress=0.2]\n");
+                   "       bench_throughput --validate=path\n");
       return 2;
     }
   }
   MUDI_CHECK(!preset_names.empty());
   MUDI_CHECK(!systems.empty());
-
-  if (!against_path.empty()) {
-    // Pure compare of two existing artifacts; nothing is run.
-    if (compare_path.empty()) {
-      std::fprintf(stderr, "[bench_throughput] --against requires --compare=base.json\n");
-      return 2;
-    }
-    StatusOr<CompareMap> base = LoadCompareFile(compare_path);
-    if (!base.ok()) {
-      std::fprintf(stderr, "[bench_throughput] %s: %s\n", compare_path.c_str(),
-                   base.status().message().c_str());
-      return 1;
-    }
-    StatusOr<CompareMap> fresh = LoadCompareFile(against_path);
-    if (!fresh.ok()) {
-      std::fprintf(stderr, "[bench_throughput] %s: %s\n", against_path.c_str(),
-                   fresh.status().message().c_str());
-      return 1;
-    }
-    return CompareAndPrint(*base, *fresh, max_regress);
-  }
 
   std::vector<Preset> all_presets = BuildPresets();
   std::vector<Record> records;
@@ -438,15 +312,6 @@ int Main(int argc, char** argv) {
   std::fprintf(stderr, "[bench_throughput] wrote %s (%zu records)\n", out_path.c_str(),
                records.size());
 
-  if (!compare_path.empty()) {
-    StatusOr<CompareMap> base = LoadCompareFile(compare_path);
-    if (!base.ok()) {
-      std::fprintf(stderr, "[bench_throughput] %s: %s\n", compare_path.c_str(),
-                   base.status().message().c_str());
-      return 1;
-    }
-    return CompareAndPrint(*base, EntriesFromRecords(records), max_regress);
-  }
   return 0;
 }
 

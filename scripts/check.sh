@@ -36,12 +36,12 @@
 #            non-zero placement count. It also runs the learner-fit micro-benchmarks
 #            (bench_micro_substrates --benchmark_filter='Fit(/|$)') and
 #            prints CPU ns per fit in the stage detail, without gating on them.
-#            When the committed
-#            BENCH_throughput.json baseline exists, also re-runs the smoke
-#            preset at full scale and FAILS if any (preset, policy) pair's
-#            simulated seconds per wall second regressed more than 20%
-#            against it (WARN instead of FAIL under --fast, so quick local
-#            iterations aren't blocked by machine noise).
+#            Last, the perf gate: scripts/ab_bench.py builds a base revision
+#            and this tree on this host, runs the repo benchmark's workloads
+#            on both sides interleaved and pinned, and FAILS (in every mode)
+#            if any end-to-end metric is worse than its BENCHMARK.json bound.
+#            The base is HEAD when the tree has uncommitted changes and
+#            HEAD^ when it is clean.
 #   chaos    the fault suites — device faults (Fault*), control-plane faults
 #            (CtrlFault*/ControlFault*/KvStore*), retry/backoff (Retr*), and
 #            the determinism replays — under the ASan+UBSan tree. Opt-in via
@@ -78,7 +78,6 @@ RUN_TSAN=0
 RUN_BENCH=0
 RUN_CHAOS=0
 RUN_REPLAY=0
-FAST_MODE=0
 EXPLICIT_MODE=0
 BUILD_DIR="build"
 
@@ -87,7 +86,6 @@ while [ $# -gt 0 ]; do
     --fast)
       RUN_ASAN=0
       RUN_TSAN=0
-      FAST_MODE=1
       EXPLICIT_MODE=1
       ;;
     --sanitize)
@@ -368,33 +366,6 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     BENCH_RESULT=FAIL
   fi
   rm -f "$FIG18_OUT"
-  # Regression gate against the committed perf-trajectory baseline. The
-  # committed artifact was produced at full scale, so the gate re-runs the
-  # smoke preset at full scale too (it is tiny — well under a minute) for an
-  # apples-to-apples comparison of simulated seconds per wall second (not
-  # events/s: a change that fires fewer events for the same simulated work
-  # lowers events/s while the run gets faster); exit 3 means some (preset,
-  # policy) pair regressed past --max-regress.
-  if [ "$BENCH_RESULT" = PASS ] && [ -f BENCH_throughput.json ]; then
-    echo "== bench: smoke sim-s/wall-s vs committed BENCH_throughput.json (>20% fails) =="
-    REGRESS_OUT=$(mktemp -t bench_throughput_regress.XXXXXX.json)
-    MUDI_BENCH_SCALE=1 "$BENCH_BIN" --presets=smoke --out="$REGRESS_OUT" \
-      --compare=BENCH_throughput.json --max-regress=0.2
-    REGRESS_RC=$?
-    rm -f "$REGRESS_OUT"
-    if [ "$REGRESS_RC" -eq 3 ]; then
-      if [ "$FAST_MODE" -eq 1 ]; then
-        echo "bench: smoke sim-s/wall-s regressed >20% vs baseline (WARN under --fast)"
-        BENCH_RESULT=WARN
-      else
-        echo "bench: smoke sim-s/wall-s regressed >20% vs committed baseline"
-        BENCH_RESULT=FAIL
-      fi
-    elif [ "$REGRESS_RC" -ne 0 ]; then
-      echo "bench: regression compare failed (rc=$REGRESS_RC)"
-      BENCH_RESULT=FAIL
-    fi
-  fi
   # Learner-fit micro-benchmarks at Initialize's cross-validation shape
   # (DESIGN.md §12.5). Informational, not a gate: shared-host noise swamps any
   # per-fit threshold, so the CPU ns per fit only lands in the stage detail.
@@ -408,7 +379,19 @@ if [ "$RUN_BENCH" -eq 1 ]; then
                                     printf "%s%s=%.0f", sep, $1, $4; sep=" " }')
   fi
   echo "bench: cpu ns/fit: ${FIT_DETAIL:-unavailable}"
-  record "bench" "$BENCH_RESULT" "cpu ns/fit: ${FIT_DETAIL:-unavailable}"
+  # Same-host A/B against the base revision: a committed record from another
+  # host or load measures that host as much as the code.
+  if [ -n "$(git status --porcelain)" ]; then
+    AB_BASE=HEAD
+  else
+    AB_BASE=HEAD^
+  fi
+  echo "== bench: A/B vs $AB_BASE (scripts/ab_bench.py; the tree is the change) =="
+  if ! python3 scripts/ab_bench.py "$AB_BASE"; then
+    echo "bench: A/B vs $AB_BASE failed"
+    BENCH_RESULT=FAIL
+  fi
+  record "bench" "$BENCH_RESULT" "A/B vs $AB_BASE; cpu ns/fit: ${FIT_DETAIL:-unavailable}"
 else
   record "bench" SKIP
 fi

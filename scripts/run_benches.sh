@@ -4,8 +4,9 @@
 # --out-dir, then copies the machine-readable BENCH_*.json artifacts to the
 # repo root so trajectory diffs show up in review. Each successful
 # bench_throughput run also appends one schema-tagged line to the committed
-# BENCH_history.jsonl, so the perf trajectory accumulates across campaigns
-# and any prior entry can serve as a --compare baseline (FILE.jsonl[:N]).
+# BENCH_history.jsonl, so the perf trajectory accumulates across campaigns.
+# Entries from different hosts or loads do not compare; the same-host perf
+# gate is scripts/ab_bench.py.
 #
 # This replaces the three ad-hoc root-level run_benches*.sh scripts: the
 # bench list, scale, and output location are flags instead of copies.
@@ -15,13 +16,6 @@
 #     --build-dir DIR   build tree holding bench binaries   (default: build)
 #     --out-dir DIR     where .txt/.err/.json land          (default: bench_results)
 #     --scale S         export MUDI_BENCH_SCALE=S (0 < S <= 1)
-#     --compare F       after bench_throughput runs, print a per-(preset,
-#                       policy) sim-s/wall-s + decision-latency regression table
-#                       against baseline artifact F (a prior BENCH_throughput
-#                       .json, e.g. the committed one; or FILE.jsonl[:N] to
-#                       compare against history entry N — default: the last)
-#     --max-regress R   with --compare: fail the campaign when any pair's
-#                       sim-s/wall-s fell more than fraction R (0 < R < 1)
 #     --list            print the default campaign bench list and exit
 #     bench ...         run only these benches (default: the full campaign)
 set -u
@@ -31,8 +25,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build
 OUT_DIR=bench_results
 SCALE=""
-COMPARE=""
-MAX_REGRESS=""
 ONLY=()
 
 ALL_BENCHES=(
@@ -55,7 +47,7 @@ HISTORY_FILE=BENCH_history.jsonl
 # online CPUs, 1-minute load average when the run ended), so two entries
 # from different hosts or loads are not read as a code change. Each line
 # stays a valid bench_throughput document (the validator tolerates the extra
-# top-level key), so any entry works as a --compare baseline directly.
+# top-level key).
 append_history() {
   local artifact="$1" seq stamp git_rev body cpu load host
   seq=1
@@ -73,39 +65,11 @@ append_history() {
   echo "history: appended entry $seq to $HISTORY_FILE"
 }
 
-# Resolves a --compare spec to a baseline JSON document on stdout: a plain
-# .json path passes through untouched; FILE.jsonl takes the last history
-# entry; FILE.jsonl:N takes entry N (1-based line number, which matches each
-# entry's "seq" field). Fails when the file or the entry is missing.
-extract_history_entry() {
-  local spec="$1" file="$1" n=""
-  if [[ "$spec" == *.jsonl:* ]]; then
-    file="${spec%:*}"
-    n="${spec##*:}"
-  fi
-  if [[ ! -f "$file" ]]; then
-    echo "no history file: $file" >&2
-    return 1
-  fi
-  local total
-  total=$(wc -l < "$file")
-  if [[ -z "$n" ]]; then
-    n="$total"
-  fi
-  if ! [[ "$n" =~ ^[0-9]+$ ]] || (( n < 1 || n > total )); then
-    echo "history entry '$n' out of range (1..$total) in $file" >&2
-    return 1
-  fi
-  sed -n "${n}p" "$file"
-}
-
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --out-dir)   OUT_DIR="$2";   shift 2 ;;
     --scale)     SCALE="$2";     shift 2 ;;
-    --compare)     COMPARE="$2";     shift 2 ;;
-    --max-regress) MAX_REGRESS="$2"; shift 2 ;;
     --list)      printf '%s\n' "${ALL_BENCHES[@]}"; exit 0 ;;
     -h|--help)   grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     --*)         echo "unknown option: $1" >&2; exit 2 ;;
@@ -134,25 +98,7 @@ for b in "${BENCHES[@]}"; do
   echo "=== RUNNING $b ==="
   if [[ "$b" == bench_throughput ]]; then
     # The perf-trajectory bench writes its own versioned JSON artifact.
-    # With --compare it also prints the regression table vs the baseline
-    # (visible on the terminal, not just in the .txt, so campaign runs show
-    # the trajectory at a glance) and exits non-zero past --max-regress.
-    THROUGHPUT_FLAGS=()
-    if [[ -n "$COMPARE" ]]; then
-      BASELINE="$COMPARE"
-      if [[ "$COMPARE" == *.jsonl || "$COMPARE" == *.jsonl:* ]]; then
-        BASELINE="$OUT_DIR/.compare_baseline.json"
-        if ! extract_history_entry "$COMPARE" > "$BASELINE"; then
-          echo "bad --compare spec: $COMPARE" >&2
-          exit 2
-        fi
-      fi
-      THROUGHPUT_FLAGS+=("--compare=$BASELINE")
-    fi
-    if [[ -n "$MAX_REGRESS" ]]; then
-      THROUGHPUT_FLAGS+=("--max-regress=$MAX_REGRESS")
-    fi
-    "$bin" --out="$OUT_DIR/BENCH_throughput.json" "${THROUGHPUT_FLAGS[@]}" \
+    "$bin" --out="$OUT_DIR/BENCH_throughput.json" \
       > >(tee "$OUT_DIR/$b.txt") 2> "$OUT_DIR/$b.err"
   else
     # Each experiment run appends one labeled JSON line (counters, gauges,

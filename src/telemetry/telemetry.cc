@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "src/common/check.h"
 #include "src/common/env.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
@@ -20,11 +21,15 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 void TelemetryOptions::ApplyEnvOverrides() {
   if (auto v = GetEnv("MUDI_TRACE_FILE"); v.has_value() && !v->empty()) {
     enabled = true;
-    tracing = true;
     trace_file = *v;
   }
   if (auto v = GetEnv("MUDI_TRACE_RING"); v.has_value() && !v->empty()) {
-    trace_ring_capacity = static_cast<size_t>(std::strtoull(v->c_str(), nullptr, 10));
+    char* end = nullptr;
+    long long parsed = std::strtoll(v->c_str(), &end, 10);
+    // A malformed MUDI_TRACE_RING is a hard error: "abc" or "-1" would
+    // otherwise silently give an unbounded trace, and "10k" a ring of 10.
+    MUDI_CHECK(end != nullptr && *end == '\0' && parsed >= 0);
+    trace_ring_capacity = static_cast<size_t>(parsed);
   }
   if (auto v = GetEnv("MUDI_TELEMETRY_JSON"); v.has_value() && !v->empty()) {
     enabled = true;
@@ -38,7 +43,7 @@ void TelemetryOptions::ApplyEnvOverrides() {
 
 Telemetry::Telemetry(TelemetryOptions options)
     : options_(std::move(options)),
-      tracing_enabled_(options_.enabled && options_.tracing && CompiledWithTracing()),
+      tracing_enabled_(options_.enabled && CompiledWithTracing()),
       trace_(telemetry::TraceRecorder::Options{options_.trace_ring_capacity}) {}
 
 bool Telemetry::WriteTraceFile(const std::string& path) const {

@@ -25,11 +25,9 @@ namespace mudi {
 
 struct TelemetryOptions {
   // Master switch: when false the experiment does not record anything and
-  // instrumented components receive a null Telemetry pointer.
+  // instrumented components receive a null Telemetry pointer. When true,
+  // trace events are recorded too if the build has MUDI_ENABLE_TRACING=ON.
   bool enabled = false;
-  // Record trace events (in addition to metrics). Requires the build to have
-  // MUDI_ENABLE_TRACING=ON to have any effect.
-  bool tracing = true;
   // 0 = unbounded; otherwise a ring buffer of the newest N events.
   size_t trace_ring_capacity = 0;
 
@@ -40,7 +38,8 @@ struct TelemetryOptions {
 
   // Environment overrides, used by bench binaries without code changes:
   //   MUDI_TRACE_FILE=path      enable + write the trace there
-  //   MUDI_TRACE_RING=N         ring-buffer capacity
+  //   MUDI_TRACE_RING=N         ring-buffer capacity (a non-negative integer;
+  //                             anything else is a hard error)
   //   MUDI_TELEMETRY_JSON=path  enable + append a metrics JSON line
   //   MUDI_METRICS_CSV=path     enable + write the snapshot CSV
   void ApplyEnvOverrides();

@@ -102,28 +102,35 @@ TEST_F(ProfilerTest, ColocatedCurveLiesAboveSolo) {
 class ModelerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    oracle_ptr_ = new PerfOracle(42);
+    oracle_ptr_ = std::make_unique<PerfOracle>(42);
     LatencyProfiler::Options options;
     options.repeats_per_point = 8;
-    profiler_ptr_ = new LatencyProfiler(*oracle_ptr_, options);
+    profiler_ptr_ = std::make_unique<LatencyProfiler>(*oracle_ptr_, options);
     profiler_ptr_->ProfileAll(ModelZoo::kNumObservedTrainingTypes);
-    modeler_ptr_ = new InterferenceModeler();
+    modeler_ptr_ = std::make_unique<InterferenceModeler>();
     modeler_ptr_->AddSamplesFromProfiler(*profiler_ptr_);
     modeler_ptr_->Fit();
+  }
+
+  // Reverse order of construction: the profiler refers to the oracle.
+  static void TearDownTestSuite() {
+    modeler_ptr_.reset();
+    profiler_ptr_.reset();
+    oracle_ptr_.reset();
   }
 
   PerfOracle& oracle_ = *oracle_ptr_;
   LatencyProfiler& profiler() { return *profiler_ptr_; }
   InterferenceModeler& modeler() { return *modeler_ptr_; }
 
-  static PerfOracle* oracle_ptr_;
-  static LatencyProfiler* profiler_ptr_;
-  static InterferenceModeler* modeler_ptr_;
+  static std::unique_ptr<PerfOracle> oracle_ptr_;
+  static std::unique_ptr<LatencyProfiler> profiler_ptr_;
+  static std::unique_ptr<InterferenceModeler> modeler_ptr_;
 };
 
-PerfOracle* ModelerTest::oracle_ptr_ = nullptr;
-LatencyProfiler* ModelerTest::profiler_ptr_ = nullptr;
-InterferenceModeler* ModelerTest::modeler_ptr_ = nullptr;
+std::unique_ptr<PerfOracle> ModelerTest::oracle_ptr_;
+std::unique_ptr<LatencyProfiler> ModelerTest::profiler_ptr_;
+std::unique_ptr<InterferenceModeler> ModelerTest::modeler_ptr_;
 
 TEST_F(ModelerTest, FeatureEncodingAppendsLogBatch) {
   auto arch = MakeArchitecture({{LayerType::kConv, 4}});
@@ -365,7 +372,7 @@ TEST(ModelSelectionDifferentialTest, BoundedSelectionMatchesUnboundedReference) 
 class PredictorTest : public ModelerTest {};
 
 TEST_F(PredictorTest, UsesExactProfileWhenAvailable) {
-  InterferencePredictor predictor(profiler_ptr_, modeler_ptr_);
+  InterferencePredictor predictor(profiler_ptr_.get(), modeler_ptr_.get());
   const ProfiledCurve* profiled = profiler().FindCurve(CurveKey{1, 32, {0}});
   ASSERT_NE(profiled, nullptr);
   auto pred = predictor.PredictCurve(1, {0}, 32);
@@ -374,7 +381,7 @@ TEST_F(PredictorTest, UsesExactProfileWhenAvailable) {
 }
 
 TEST_F(PredictorTest, FallsBackToLearnerForUnseenMix) {
-  InterferencePredictor predictor(profiler_ptr_, modeler_ptr_);
+  InterferencePredictor predictor(profiler_ptr_.get(), modeler_ptr_.get());
   size_t unseen = ModelZoo::kNumObservedTrainingTypes + 1;
   auto pred = predictor.PredictCurve(1, {unseen}, 32);
   EXPECT_LE(pred.k1, 0.0);
@@ -385,7 +392,7 @@ TEST_F(PredictorTest, ScoreOrderingConsistentWithGroundTruth) {
   // The score must rank training types consistently with the oracle's true
   // co-located latency: compare the most- and least-interfering observed
   // types (ground truth) and check the predictor orders them the same way.
-  InterferencePredictor predictor(profiler_ptr_, modeler_ptr_);
+  InterferencePredictor predictor(profiler_ptr_.get(), modeler_ptr_.get());
   const auto& service = ModelZoo::InferenceServices()[0];
   const auto& tasks = ModelZoo::TrainingTasks();
   // Ground-truth sensitivity: average |dL/dg| across the profiling batch
@@ -419,7 +426,7 @@ TEST_F(PredictorTest, ScoreOrderingConsistentWithGroundTruth) {
 }
 
 TEST_F(PredictorTest, ScoreCachedAndConsistent) {
-  InterferencePredictor predictor(profiler_ptr_, modeler_ptr_);
+  InterferencePredictor predictor(profiler_ptr_.get(), modeler_ptr_.get());
   double first = predictor.InterferenceScore(2, {1, 0});
   double second = predictor.InterferenceScore(2, {0, 1});  // order-insensitive
   EXPECT_DOUBLE_EQ(first, second);

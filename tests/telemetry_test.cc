@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/env.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
 #include "src/telemetry/metrics_registry.h"
@@ -481,6 +484,34 @@ TEST(TelemetryExperimentTest, DisabledTelemetryRecordsNothing) {
   EXPECT_EQ(experiment.telemetry(), nullptr);
   EXPECT_TRUE(experiment.telemetry_sink().metrics().counters().empty());
   EXPECT_EQ(experiment.telemetry_sink().trace().size(), 0u);
+}
+
+// A malformed MUDI_TRACE_RING is a hard error, not a silent fallback to an
+// unbounded trace or a truncated ring.
+TEST(TelemetryOptionsDeathTest, MalformedTraceRingIsAHardError) {
+  for (const char* bad : {"abc", "-1", "10k"}) {
+    EXPECT_DEATH(
+        {
+          setenv("MUDI_TRACE_RING", bad, /*overwrite=*/1);
+          TelemetryOptions options;
+          options.ApplyEnvOverrides();
+        },
+        "parsed >= 0")
+        << "MUDI_TRACE_RING=" << bad;
+  }
+}
+
+TEST(TelemetryOptionsTest, TraceRingTakesANonNegativeInteger) {
+  std::optional<std::string> saved = GetEnv("MUDI_TRACE_RING");
+  setenv("MUDI_TRACE_RING", "4096", /*overwrite=*/1);
+  TelemetryOptions options;
+  options.ApplyEnvOverrides();
+  EXPECT_EQ(options.trace_ring_capacity, 4096u);
+  if (saved.has_value()) {
+    setenv("MUDI_TRACE_RING", saved->c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("MUDI_TRACE_RING");
+  }
 }
 
 }  // namespace
