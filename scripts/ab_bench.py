@@ -25,7 +25,7 @@ sys.dont_write_bytecode = True  # no __pycache__ under mudibench/
 sys.path.insert(0, os.path.join(ROOT, "mudibench"))
 import run  # noqa: E402  (mudibench/run.py)
 
-ROUNDS = 8
+ROUNDS = 12
 SEED = 7
 
 

@@ -17,16 +17,6 @@ ClusterState::ClusterState(int num_nodes, const NodeSpec& spec)
   }
 }
 
-GpuDevice& ClusterState::device(size_t index) {
-  MUDI_CHECK_LT(index, devices_.size());
-  return devices_[index];
-}
-
-const GpuDevice& ClusterState::device(size_t index) const {
-  MUDI_CHECK_LT(index, devices_.size());
-  return devices_[index];
-}
-
 int ClusterState::NodeOf(size_t index) const {
   MUDI_CHECK_LT(index, devices_.size());
   return static_cast<int>(index) / spec_.gpus_per_node;

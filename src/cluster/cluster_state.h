@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/gpu/gpu_device.h"
 
 namespace mudi {
@@ -25,8 +26,14 @@ class ClusterState {
   int num_nodes() const { return num_nodes_; }
   int gpus_per_node() const { return spec_.gpus_per_node; }
 
-  GpuDevice& device(size_t index);
-  const GpuDevice& device(size_t index) const;
+  GpuDevice& device(size_t index) {
+    MUDI_CHECK_LT(index, devices_.size());
+    return devices_[index];
+  }
+  const GpuDevice& device(size_t index) const {
+    MUDI_CHECK_LT(index, devices_.size());
+    return devices_[index];
+  }
   std::vector<GpuDevice>& devices() { return devices_; }
   const std::vector<GpuDevice>& devices() const { return devices_; }
 

@@ -14,9 +14,13 @@
 #ifndef SRC_COMMON_ENV_H_
 #define SRC_COMMON_ENV_H_
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace mudi {
 
@@ -28,6 +32,24 @@ inline std::optional<std::string> GetEnv(const char* name) {
     return std::nullopt;
   }
   return std::string(value);
+}
+
+// Parses `text` as a non-negative decimal integer that spans the whole
+// string. Returns std::nullopt for an empty string, a sign, leading or
+// trailing characters ("10k", " 5"), or a value past INT64_MAX (the ERANGE
+// case strtoll would have clamped): an integer knob read from the
+// environment is either exactly right or a hard error at its call site.
+inline std::optional<int64_t> ParseNonNegativeInt(std::string_view text) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
+    return std::nullopt;
+  }
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;  // result_out_of_range is ERANGE
+  }
+  return value;
 }
 
 }  // namespace mudi

@@ -4,10 +4,17 @@
 // bit-reproducible given a seed. Rng also supports cheap forking: Fork(tag)
 // derives an independent child stream, so subsystems do not perturb each
 // other's sequences when the workload mix changes.
+//
+// The engine and the hot samplers (Uniform, Normal, LogNormalFactor, Poisson
+// below mean 12) are written out here, bit-identical to std::mt19937_64 and
+// to libstdc++ 12's distributions over it (bits/random.tcc), so every digest
+// recorded with the std versions still holds; DESIGN.md §12.6 gives the
+// exactness argument per sampler. The rest keep the std distributions.
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -17,6 +24,44 @@
 
 namespace mudi {
 
+// MT19937-64 with the output sequence of std::mt19937_64 for every seed. The
+// 312-word refill (rng.cc) is written so that the compiler vectorizes it;
+// tempering stays per read, so the state is the same 2.5 KB as std's.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateSize = 312;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(uint64_t seed) {
+    state_[0] = seed;
+    for (size_t i = 1; i < kStateSize; ++i) {
+      uint64_t prev = state_[i - 1];
+      state_[i] = (prev ^ (prev >> 62)) * 6364136223846793005ull + i;
+    }
+  }
+
+  result_type operator()() {
+    if (index_ >= kStateSize) {
+      Refill();
+    }
+    uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  // Regenerates all 312 state words (the twist); resets index_ to 0.
+  void Refill();
+
+  uint64_t state_[kStateSize];
+  size_t index_ = kStateSize;
+};
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(Scramble(seed)), seed_lineage_(Scramble(seed)) {}
@@ -25,12 +70,12 @@ class Rng {
   Rng Fork(uint64_t tag) const { return Rng(seed_lineage_ ^ Scramble(tag)); }
 
   // Uniform double in [0, 1).
-  double Uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  double Uniform() { return Canonical(); }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi) {
     MUDI_CHECK_LT(lo, hi);
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return Canonical() * (hi - lo) + lo;
   }
 
   // Uniform integer in [lo, hi] inclusive.
@@ -40,14 +85,12 @@ class Rng {
   }
 
   // Standard normal scaled to (mean, stddev).
-  double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
+  double Normal(double mean, double stddev) { return StandardNormal() * stddev + mean; }
 
   // Log-normal multiplicative noise centred at 1.0 with the given sigma
   // (of the underlying normal). Used for observation noise in the oracle.
   double LogNormalFactor(double sigma) {
-    return std::exp(std::normal_distribution<double>(-0.5 * sigma * sigma, sigma)(engine_));
+    return std::exp(StandardNormal() * sigma + -0.5 * sigma * sigma);
   }
 
   // Exponential with the given mean (not rate).
@@ -62,7 +105,19 @@ class Rng {
     if (ExactEq(mean, 0.0)) {
       return 0;
     }
-    return std::poisson_distribution<int64_t>(mean)(engine_);
+    if (mean >= 12.0) {
+      return std::poisson_distribution<int64_t>(mean)(engine_);
+    }
+    // libstdc++'s small-mean method: multiply uniforms until the product
+    // falls to exp(-mean) or below.
+    const double threshold = std::exp(-mean);
+    int64_t count = 0;
+    double product = 1.0;
+    do {
+      product *= Canonical();
+      ++count;
+    } while (product > threshold);
+    return count - 1;
   }
 
   // Pareto (heavy-tailed) sample with scale x_m and shape alpha.
@@ -105,9 +160,35 @@ class Rng {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
+  // generate_canonical<double, 53>: double(u) / 2^64, rounded to nearest,
+  // clamped below 1. The unsigned-to-double conversion is done by hand: for
+  // u >= 2^55 at least three bits are rounded off, so halving u with the
+  // dropped bit kept as a sticky bit rounds identically and fits a signed
+  // conversion; below 2^55 (one draw in 512) u converts directly.
+  double Canonical() {
+    uint64_t u = engine_();
+    double r = u >= (uint64_t{1} << 55)
+                   ? static_cast<double>(static_cast<int64_t>((u >> 1) | (u & 1))) * 0x1p-63
+                   : static_cast<double>(static_cast<int64_t>(u)) * 0x1p-64;
+    return r >= 1.0 ? 0x1.fffffffffffffp-1 : r;
+  }
+
+  // normal_distribution's Marsaglia polar method. It returns the second
+  // value of each pair; the first is discarded, as a fresh std distribution
+  // per call discarded it.
+  double StandardNormal() {
+    double x = 0.0;
+    double y = 0.0;
+    double r2 = 0.0;
+    do {
+      x = 2.0 * Canonical() - 1.0;
+      y = 2.0 * Canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || ExactEq(r2, 0.0));
+    return y * std::sqrt(-2 * std::log(r2) / r2);
+  }
+
   // splitmix64 finalizer: decorrelates nearby seeds.
   static uint64_t Scramble(uint64_t x) {
     x += 0x9E3779B97f4A7C15ull;
@@ -116,7 +197,7 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   uint64_t seed_lineage_ = 0;
 };
 

@@ -39,16 +39,6 @@ GpuDevice::GpuDevice(int id, double memory_mb, double compute_scale)
   MUDI_CHECK_LE(compute_scale, 1.0);
 }
 
-const InferenceInstance& GpuDevice::inference() const {
-  MUDI_CHECK(inference_.has_value());
-  return *inference_;
-}
-
-InferenceInstance& GpuDevice::mutable_inference() {
-  MUDI_CHECK(inference_.has_value());
-  return *inference_;
-}
-
 void GpuDevice::PlaceInference(InferenceInstance instance) {
   MUDI_CHECK(!inference_.has_value());
   MUDI_CHECK_GT(instance.gpu_fraction, 0.0);

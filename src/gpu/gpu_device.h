@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/sim/simulator.h"
 #include "src/workload/models.h"
@@ -83,8 +84,14 @@ class GpuDevice {
 
   // --- inference instance (at most one) ---
   bool has_inference() const { return inference_.has_value(); }
-  const InferenceInstance& inference() const;
-  InferenceInstance& mutable_inference();
+  const InferenceInstance& inference() const {
+    MUDI_CHECK(inference_.has_value());
+    return *inference_;
+  }
+  InferenceInstance& mutable_inference() {
+    MUDI_CHECK(inference_.has_value());
+    return *inference_;
+  }
   void PlaceInference(InferenceInstance instance);
   void RemoveInference();
 

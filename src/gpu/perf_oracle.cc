@@ -68,6 +68,17 @@ size_t ServiceIndex(const InferenceServiceSpec& service) {
   return all.size() + (std::hash<std::string>{}(service.name) % 64);
 }
 
+// Index of `item` in `zoo` when it is one of zoo's own elements, else
+// zoo.size(). std::less orders pointers into unrelated objects too.
+template <typename T>
+size_t ZooSlot(const T& item, const std::vector<T>& zoo) {
+  std::less<const T*> before;
+  if (before(&item, zoo.data()) || !before(&item, zoo.data() + zoo.size())) {
+    return zoo.size();
+  }
+  return static_cast<size_t>(&item - zoo.data());
+}
+
 }  // namespace
 
 PerfOracle::PerfOracle(uint64_t seed) {
@@ -86,6 +97,24 @@ PerfOracle::PerfOracle(uint64_t seed) {
     }
     affinity_bias_[s] = service_rng.Uniform(-0.12, 0.12);
   }
+  const auto& tasks = ModelZoo::TrainingTasks();
+  for (const auto& service : ModelZoo::InferenceServices()) {
+    for (const auto& task : tasks) {
+      zoo_affinity_.push_back(PairAffinity(service, task.arch));
+    }
+  }
+}
+
+double PerfOracle::AffinityOf(const InferenceServiceSpec& service,
+                              const TrainingTaskSpec& task) const {
+  const auto& services = ModelZoo::InferenceServices();
+  const auto& tasks = ModelZoo::TrainingTasks();
+  size_t s = ZooSlot(service, services);
+  size_t t = ZooSlot(task, tasks);
+  if (s == services.size() || t == tasks.size()) {
+    return PairAffinity(service, task.arch);
+  }
+  return zoo_affinity_[s * tasks.size() + t];
 }
 
 double PerfOracle::PairAffinity(const InferenceServiceSpec& service,
@@ -163,7 +192,7 @@ InferencePhaseLatency PerfOracle::InferenceBatchLatency(
   double exec_cpu_slow = 1.0 + 6.0 * demand_inf + 2.0 * demand_train;
   double gpu_pressure = kInferenceGpuPressure * static_cast<double>(other_inference_count);
   for (const auto& t : training) {
-    double affinity = PairAffinity(service, t.spec->arch);
+    double affinity = AffinityOf(service, *t.spec);
     double activity = std::min(1.0, t.gpu_fraction / 0.5);
     gpu_pressure += (0.1 + 1.3 * affinity) * activity;
   }
@@ -221,7 +250,7 @@ double PerfOracle::TrainingIterationMs(const TrainingTaskSpec& task, double gpu_
   if (inference.spec != nullptr) {
     MUDI_CHECK_GT(inference.batch_size, 0);
     double b = static_cast<double>(inference.batch_size);
-    double affinity = PairAffinity(*inference.spec, task.arch);
+    double affinity = AffinityOf(*inference.spec, task);
 
     // GPU-side pressure: the service's kernel duty cycle, amplified by the
     // burstiness of large batches holding SMs/L2 contiguously.

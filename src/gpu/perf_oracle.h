@@ -128,9 +128,17 @@ class PerfOracle {
   void SetTelemetry(Telemetry* telemetry);
 
  private:
+  // PairAffinity(service, task.arch), read from zoo_affinity_ when both specs
+  // are elements of ModelZoo's registries (every runtime caller passes those)
+  // and computed otherwise.
+  double AffinityOf(const InferenceServiceSpec& service, const TrainingTaskSpec& task) const;
+
   // Per-service random projection weights over the layer-census features.
   std::vector<std::vector<double>> affinity_weights_;
   std::vector<double> affinity_bias_;
+  // PairAffinity over every (zoo service, zoo training task) pair, row-major
+  // by service; filled once by the constructor.
+  std::vector<double> zoo_affinity_;
 
   // Cached registry histograms (stable addresses); null when detached.
   telemetry::Histogram* preprocess_hist_ = nullptr;

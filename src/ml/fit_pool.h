@@ -10,7 +10,7 @@
 #define SRC_ML_FIT_POOL_H_
 
 #include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -29,11 +29,11 @@ class FitPool {
   static size_t ConfiguredThreads() {
     std::optional<std::string> env = GetEnv("MUDI_FIT_THREADS");
     if (env.has_value() && !env->empty()) {
-      char* end = nullptr;
-      long parsed = std::strtol(env->c_str(), &end, 10);
-      // A malformed MUDI_FIT_THREADS is a hard error: silently falling back
-      // to some thread count would mask a typo in a reproducibility recipe.
-      MUDI_CHECK(end != nullptr && *end == '\0' && parsed >= 0);
+      // A malformed or out-of-range MUDI_FIT_THREADS is a hard error:
+      // silently falling back to some thread count would mask a typo in a
+      // reproducibility recipe.
+      int64_t parsed = ParseNonNegativeInt(*env).value_or(-1);
+      MUDI_CHECK(parsed >= 0);
       if (parsed > 0) {
         return static_cast<size_t>(parsed);
       }

@@ -1,6 +1,6 @@
 #include "src/telemetry/telemetry.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 
 #include "src/common/check.h"
@@ -24,11 +24,11 @@ void TelemetryOptions::ApplyEnvOverrides() {
     trace_file = *v;
   }
   if (auto v = GetEnv("MUDI_TRACE_RING"); v.has_value() && !v->empty()) {
-    char* end = nullptr;
-    long long parsed = std::strtoll(v->c_str(), &end, 10);
     // A malformed MUDI_TRACE_RING is a hard error: "abc" or "-1" would
-    // otherwise silently give an unbounded trace, and "10k" a ring of 10.
-    MUDI_CHECK(end != nullptr && *end == '\0' && parsed >= 0);
+    // otherwise silently give an unbounded trace, "10k" a ring of 10, and an
+    // out-of-range value a ring of INT64_MAX.
+    int64_t parsed = ParseNonNegativeInt(*v).value_or(-1);
+    MUDI_CHECK(parsed >= 0);
     trace_ring_capacity = static_cast<size_t>(parsed);
   }
   if (auto v = GetEnv("MUDI_TELEMETRY_JSON"); v.has_value() && !v->empty()) {

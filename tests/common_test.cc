@@ -6,11 +6,14 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/sim/retry.h"
+#include "src/common/env.h"
+#include "src/common/float_eq.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -377,6 +380,212 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, copy);
+}
+
+// ---------------------------------------------------------------------------
+// Env
+// ---------------------------------------------------------------------------
+
+TEST(EnvTest, ParseNonNegativeIntTakesWholeDecimalStrings) {
+  EXPECT_EQ(ParseNonNegativeInt("0"), 0);
+  EXPECT_EQ(ParseNonNegativeInt("4096"), 4096);
+  EXPECT_EQ(ParseNonNegativeInt("007"), 7);
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775807"), std::numeric_limits<int64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 5", "5 ", "10k", "abc", "0x10", "1.5"}) {
+    EXPECT_EQ(ParseNonNegativeInt(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(EnvTest, ParseNonNegativeIntRejectsOutOfRange) {
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(ParseNonNegativeInt("99999999999999999999"), std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
+// Rng against the std engine and distributions it replaces
+// ---------------------------------------------------------------------------
+
+// The reference Mt19937_64 and Rng's samplers must reproduce bit for bit.
+using StdEngine = std::mt19937_64;  // NOLINT(mudi-determinism) differential-test reference only
+
+// Rng as it was built on std: std::mt19937_64 under one libstdc++
+// distribution constructed per call, seeded through the same splitmix64.
+class StdReferenceRng {
+ public:
+  explicit StdReferenceRng(uint64_t seed) : engine_(Scramble(seed)) {}
+
+  double Uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  double Uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
+  }
+  double Normal(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  double LogNormalFactor(double sigma) {
+    return std::exp(std::normal_distribution<double>(-0.5 * sigma * sigma, sigma)(engine_));
+  }
+  double ExponentialMean(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  int64_t Poisson(double mean) {
+    if (ExactEq(mean, 0.0)) {
+      return 0;
+    }
+    return std::poisson_distribution<int64_t>(mean)(engine_);
+  }
+  template <typename T>
+  void Shuffle(std::vector<T>& items) {
+    for (size_t i = items.size(); i > 1; --i) {
+      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::swap(items[i - 1], items[j]);
+    }
+  }
+
+ private:
+  static uint64_t Scramble(uint64_t x) {
+    x += 0x9E3779B97f4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  }
+
+  StdEngine engine_;
+};
+
+constexpr uint64_t kDifferentialSeeds[] = {1, 7, 11, 42, 0xFFFFFFFFFFFFFFFFull};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// After equal draws the two engines must also sit at the same state: the
+// next two refills' worth of raw words agree. UniformInt over the whole
+// int64 range returns a raw engine word offset by 2^63.
+void ExpectSameEngineState(Rng& rng, StdReferenceRng& ref) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (size_t i = 0; i < 2 * Mt19937_64::kStateSize; ++i) {
+    ASSERT_EQ(rng.UniformInt(kMin, kMax), ref.UniformInt(kMin, kMax)) << "word " << i;
+  }
+}
+
+// Draws `n` values through `draw(rng)` and `draw(ref)` and compares their bits.
+template <typename Draw>
+void ExpectSameDoubles(uint64_t seed, size_t n, Draw draw) {
+  Rng rng(seed);
+  StdReferenceRng ref(seed);
+  for (size_t i = 0; i < n; ++i) {
+    double a = draw(rng);
+    double b = draw(ref);
+    ASSERT_EQ(Bits(a), Bits(b)) << "seed " << seed << " draw " << i << ": " << a << " vs " << b;
+  }
+  ExpectSameEngineState(rng, ref);
+}
+
+TEST(RngDifferentialTest, EngineMatchesStdAcrossRefills) {
+  // 10^7 words per seed: 32 051 refills, including every word next to a
+  // refill boundary.
+  constexpr size_t kWords = 10'000'000;
+  for (uint64_t seed : {uint64_t{0}, uint64_t{5489}, uint64_t{0x9E3779B97f4A7C15ull}}) {
+    Mt19937_64 engine(seed);
+    StdEngine reference(seed);
+    for (size_t i = 0; i < kWords; ++i) {
+      uint64_t a = engine();
+      uint64_t b = reference();
+      ASSERT_EQ(a, b) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(RngDifferentialTest, UniformMatchesGenerateCanonical) {
+  // 10^6 draws per seed: about 2 000 take the u < 2^55 branch.
+  for (uint64_t seed : kDifferentialSeeds) {
+    ExpectSameDoubles(seed, 1'000'000, [](auto& r) { return r.Uniform(); });
+  }
+}
+
+TEST(RngDifferentialTest, UniformRangeMatchesUniformRealDistribution) {
+  for (uint64_t seed : kDifferentialSeeds) {
+    ExpectSameDoubles(seed, 100'000, [](auto& r) { return r.Uniform(2.0, 5.0); });
+    ExpectSameDoubles(seed, 100'000, [](auto& r) { return r.Uniform(-0.12, 0.12); });
+    ExpectSameDoubles(seed, 100'000, [](auto& r) { return r.Uniform(0.1, 1.0); });
+  }
+}
+
+TEST(RngDifferentialTest, NormalMatchesNormalDistribution) {
+  for (uint64_t seed : kDifferentialSeeds) {
+    ExpectSameDoubles(seed, 200'000, [](auto& r) { return r.Normal(0.0, 1.0); });
+    ExpectSameDoubles(seed, 200'000, [](auto& r) { return r.Normal(3.0, 0.5); });
+  }
+}
+
+TEST(RngDifferentialTest, LogNormalFactorMatchesNormalDistribution) {
+  for (uint64_t seed : kDifferentialSeeds) {
+    ExpectSameDoubles(seed, 200'000, [](auto& r) { return r.LogNormalFactor(0.04); });
+    ExpectSameDoubles(seed, 200'000, [](auto& r) { return r.LogNormalFactor(0.5); });
+  }
+}
+
+TEST(RngDifferentialTest, PoissonMatchesPoissonDistribution) {
+  // Both sides of the mean-12 switch, the zero mean Rng short-circuits, and
+  // a mean so small that almost every draw is 0 after one uniform.
+  const double means[] = {0.0, 1e-9, 3.8, std::nextafter(12.0, 0.0), 12.0, 40.0};
+  for (uint64_t seed : kDifferentialSeeds) {
+    for (double mean : means) {
+      Rng rng(seed);
+      StdReferenceRng ref(seed);
+      for (int i = 0; i < 50'000; ++i) {
+        ASSERT_EQ(rng.Poisson(mean), ref.Poisson(mean))
+            << "seed " << seed << " mean " << mean << " draw " << i;
+      }
+      ExpectSameEngineState(rng, ref);
+    }
+  }
+}
+
+TEST(RngDifferentialTest, PoissonStopsWhenProductEqualsThreshold) {
+  // libstdc++ multiplies while the product is strictly above exp(-mean).
+  // Find a seed whose first uniform u round-trips through mean = -log(u), so
+  // that a first product exactly at the threshold ends the loop at 0.
+  bool found = false;
+  for (uint64_t seed = 1; seed <= 1000 && !found; ++seed) {
+    double u = StdReferenceRng(seed).Uniform();
+    double mean = -std::log(u);
+    if (Bits(std::exp(-mean)) != Bits(u)) {
+      continue;
+    }
+    found = true;
+    Rng rng(seed);
+    StdReferenceRng ref(seed);
+    EXPECT_EQ(ref.Poisson(mean), 0) << "seed " << seed;
+    EXPECT_EQ(rng.Poisson(mean), 0) << "seed " << seed;
+    ExpectSameEngineState(rng, ref);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(RngDifferentialTest, StdSamplersOverTheEngineMatch) {
+  for (uint64_t seed : kDifferentialSeeds) {
+    ExpectSameDoubles(seed, 100'000, [](auto& r) { return r.ExponentialMean(7.0); });
+    ExpectSameDoubles(seed, 100'000,
+                      [](auto& r) { return static_cast<double>(r.UniformInt(0, 3)); });
+    ExpectSameDoubles(seed, 100'000,
+                      [](auto& r) { return static_cast<double>(r.UniformInt(-5, 1'000'000)); });
+    Rng rng(seed);
+    StdReferenceRng ref(seed);
+    for (int round = 0; round < 100; ++round) {
+      std::vector<int> a(100);
+      for (size_t i = 0; i < a.size(); ++i) {
+        a[i] = static_cast<int>(i);
+      }
+      std::vector<int> b = a;
+      rng.Shuffle(a);
+      ref.Shuffle(b);
+      ASSERT_EQ(a, b) << "seed " << seed << " round " << round;
+    }
+    ExpectSameEngineState(rng, ref);
+  }
 }
 
 // ---------------------------------------------------------------------------

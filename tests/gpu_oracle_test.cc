@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/rng.h"
 #include "src/gpu/perf_oracle.h"
@@ -295,6 +297,30 @@ TEST_F(PerfOracleTest, AffinityDependsOnArchitecture) {
 // ---------------------------------------------------------------------------
 // Observation noise
 // ---------------------------------------------------------------------------
+
+// The oracle reads zoo pairs' affinity from a table built at construction;
+// copies of the same specs are not zoo elements, so they take PairAffinity
+// itself. Both must give the same bits for every zoo pair, on both sides.
+TEST_F(PerfOracleTest, AffinityTableMatchesPairAffinityForEveryZooPair) {
+  for (const InferenceServiceSpec& service : ModelZoo::InferenceServices()) {
+    InferenceServiceSpec service_copy = service;
+    for (const TrainingTaskSpec& task : ModelZoo::TrainingTasks()) {
+      TrainingTaskSpec task_copy = task;
+      SCOPED_TRACE(service.name + " x " + task.name);
+      for (double g : {0.2, 0.7}) {
+        auto table = oracle_.InferenceBatchLatency(service, 32, g, {{&task, g}});
+        auto formula = oracle_.InferenceBatchLatency(service_copy, 32, g, {{&task_copy, g}});
+        EXPECT_EQ(std::bit_cast<uint64_t>(table.execute_ms),
+                  std::bit_cast<uint64_t>(formula.execute_ms));
+        InferenceLoad load{&service, 32, 1.0 - g, 200.0};
+        InferenceLoad load_copy{&service_copy, 32, 1.0 - g, 200.0};
+        double table_iter = oracle_.TrainingIterationMs(task, g, load, {});
+        double formula_iter = oracle_.TrainingIterationMs(task_copy, g, load_copy, {});
+        EXPECT_EQ(std::bit_cast<uint64_t>(table_iter), std::bit_cast<uint64_t>(formula_iter));
+      }
+    }
+  }
+}
 
 TEST_F(PerfOracleTest, ObservationsAreNoisyButUnbiased) {
   Rng rng(5);

@@ -1,12 +1,62 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
+#include "src/common/env.h"
 #include "src/common/rng.h"
+#include "src/ml/fit_pool.h"
 #include "src/ml/piecewise_linear.h"
 
 namespace mudi {
 namespace {
+
+// Sets MUDI_FIT_THREADS for one scope and restores it afterwards.
+class ScopedFitThreads {
+ public:
+  explicit ScopedFitThreads(const char* value) : saved_(GetEnv("MUDI_FIT_THREADS")) {
+    setenv("MUDI_FIT_THREADS", value, /*overwrite=*/1);
+  }
+  ~ScopedFitThreads() {
+    if (saved_.has_value()) {
+      setenv("MUDI_FIT_THREADS", saved_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("MUDI_FIT_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(FitPoolTest, ThreadCountTakesANonNegativeInteger) {
+  {
+    ScopedFitThreads env("3");
+    EXPECT_EQ(FitPool::ConfiguredThreads(), 3u);
+  }
+  {
+    ScopedFitThreads env("0");  // auto: hardware concurrency, clamped to 1..8
+    size_t threads = FitPool::ConfiguredThreads();
+    EXPECT_GE(threads, 1u);
+    EXPECT_LE(threads, 8u);
+  }
+}
+
+// Only ConfiguredThreads() runs under a bad value: a worker count past the
+// int64 range must abort before any thread could be asked for.
+TEST(FitPoolDeathTest, MalformedThreadCountIsAHardError) {
+  for (const char* bad : {"abc", "-1", "4x", "99999999999999999999"}) {
+    EXPECT_DEATH(
+        {
+          setenv("MUDI_FIT_THREADS", bad, /*overwrite=*/1);
+          FitPool::ConfiguredThreads();
+        },
+        "parsed >= 0")
+        << "MUDI_FIT_THREADS=" << bad;
+  }
+}
 
 TEST(PiecewiseModelTest, EvalBothSegments) {
   PiecewiseLinearModel m{-10.0, -1.0, 0.4, 50.0};

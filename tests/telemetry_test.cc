@@ -489,7 +489,7 @@ TEST(TelemetryExperimentTest, DisabledTelemetryRecordsNothing) {
 // A malformed MUDI_TRACE_RING is a hard error, not a silent fallback to an
 // unbounded trace or a truncated ring.
 TEST(TelemetryOptionsDeathTest, MalformedTraceRingIsAHardError) {
-  for (const char* bad : {"abc", "-1", "10k"}) {
+  for (const char* bad : {"abc", "-1", "10k", "99999999999999999999"}) {
     EXPECT_DEATH(
         {
           setenv("MUDI_TRACE_RING", bad, /*overwrite=*/1);
