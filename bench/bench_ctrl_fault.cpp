@@ -4,7 +4,7 @@
 // The data plane stays perfectly healthy in every run — only the control
 // plane (KvStore watch delivery, control reads, the scheduler process) is
 // degraded. The ladder:
-//   none   — empty ControlFaultPlan (reference; byte-identical to a build
+//   none   — empty FaultPlan (reference; byte-identical to a build
 //            without any control-fault machinery)
 //   delay  — every config watch notification arrives 100 ms late
 //   lossy  — 1 s base delay + 500 ms jitter, 10% of notifications dropped
@@ -24,32 +24,32 @@
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
-#include "src/fault/control_fault_plan.h"
+#include "src/fault/fault_plan.h"
 
 namespace {
 
-using mudi::ControlFaultPlan;
+using mudi::FaultPlan;
 using mudi::kMsPerSecond;
 using mudi::Table;
 
 struct Level {
   const char* name;
-  ControlFaultPlan plan;
+  FaultPlan plan;
 };
 
 std::vector<Level> DegradationLadder() {
   std::vector<Level> levels;
-  levels.push_back({"none", ControlFaultPlan{}});
+  levels.push_back({"none", FaultPlan{}});
 
-  ControlFaultPlan delay;
+  FaultPlan delay;
   delay.DegradeWatches(100.0, 0.0, 0.0);
   levels.push_back({"delay", delay});
 
-  ControlFaultPlan lossy;
+  FaultPlan lossy;
   lossy.DegradeWatches(1000.0, 500.0, 0.10);
   levels.push_back({"lossy", lossy});
 
-  ControlFaultPlan chaos;
+  FaultPlan chaos;
   chaos.DegradeWatches(2500.0, 1000.0, 0.30);
   chaos.StaleReads(0.2, 8);
   chaos.Partition(60.0 * kMsPerSecond, 20.0 * kMsPerSecond);

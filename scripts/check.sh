@@ -22,7 +22,8 @@
 #            preset, then schema-validate the JSON it emitted, then the
 #            repo benchmark's self-test (python3 mudibench/run.py
 #            --selftest: builds mudibench/ against src/ and checks that its
-#            decorated, plain and repeated runs give one result digest), then
+#            decorated, plain and repeated runs give one result digest, and
+#            that digest must equal its pin), then
 #            the cross-version digest pin: the untraced
 #            .bench_build/mudibench/mudibench --workload fleet|coldstart|chaos
 #            --seed 7 must reproduce the digests in PINNED_DIGESTS below (a
@@ -323,10 +324,22 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   rm -f "$BENCH_OUT"
   # mudibench/ builds src/ on its own and overrides every SchedulingEnv
   # virtual, so an src/ API change can break it without breaking this tree.
+  # Its `tiny` workload arms both fault plans and runs to completion, and its
+  # digest is pinned across versions like the seed-7 ones below.
   echo "== bench: mudibench self-test =="
-  if ! python3 mudibench/run.py --selftest; then
+  PINNED_SELFTEST_DIGEST=246eedb691ce4695
+  SELFTEST_OUT=$(python3 mudibench/run.py --selftest 2>&1)
+  SELFTEST_RC=$?
+  echo "$SELFTEST_OUT"
+  SELFTEST_DIGEST=$(echo "$SELFTEST_OUT" | sed -n 's/^selftest: unwrapped=\([0-9a-f]*\) .* ok$/\1/p')
+  if [ "$SELFTEST_RC" -ne 0 ]; then
     echo "bench: mudibench self-test failed"
     BENCH_RESULT=FAIL
+  elif [ "$SELFTEST_DIGEST" != "$PINNED_SELFTEST_DIGEST" ]; then
+    echo "bench: self-test digest ${SELFTEST_DIGEST:-missing} != pinned $PINNED_SELFTEST_DIGEST"
+    BENCH_RESULT=FAIL
+  else
+    echo "bench: self-test digest $SELFTEST_DIGEST matches its pin"
   fi
   # The self-test compares one build with itself; these pins compare it with
   # every earlier version whose simulated outcomes it must reproduce.

@@ -108,9 +108,10 @@ class KvStore {
   void EnableDegradedMode(Simulator* sim, const KvDegradeOptions& options, Rng rng);
   bool degraded() const { return degraded_; }
 
-  // Partition windows (driven by ControlFaultInjector): while partitioned,
-  // watch notifications are suppressed (not delayed — lost) and
-  // CtrlGet/CtrlList fail Unavailable.
+  // Partition windows (kKvPartition faults from FaultInjector, applied by
+  // the experiment's ControlPlane): while partitioned, watch notifications
+  // are suppressed (not delayed — lost) and CtrlGet/CtrlList fail
+  // Unavailable.
   void SetPartitioned(bool partitioned) { partitioned_ = partitioned; }
   bool partitioned() const { return partitioned_; }
 

@@ -93,9 +93,6 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
       probe_rng_(options_.seed ^ 0xABCDEFull),
       prober_(oracle_, probe_rng_, options_.replay, options_.recorder),
       queue_(options_.queue_policy),
-      fault_injector_(std::make_unique<FaultInjector>(
-          &sim_, this, static_cast<int>(cluster_.num_devices()), options_.num_nodes,
-          &telemetry_)),
       serving_(options_, sim_, cluster_, oracle_, rng_, telemetry_, *this),
       last_retune_ms_(cluster_.num_devices(), 0.0) {
   MUDI_CHECK(policy_ != nullptr);
@@ -758,20 +755,32 @@ ExperimentResult ClusterExperiment::Run() {
     policy_->Initialize(*this);
   }
 
-  // Arm the control-plane fault domain (none for an empty plan: zero events,
-  // zero registry traffic, byte-identical results — ctrl_fault_test pins it).
-  if (!options_.ctrl_fault_plan.empty()) {
-    ctrl_ = std::make_unique<ControlPlane>(options_, sim_, registry_, cluster_,
+  // One fault timeline: ctrl_fault_plan's faults, then fault_plan's, armed
+  // in that order, which is the order that breaks same-instant ties. The
+  // control plane exists only for control faults or a KvStore degradation
+  // (none otherwise: zero events, zero registry traffic, byte-identical
+  // results — CtrlFaultRecoveryTest.EmptyCtrlPlanLeavesCtrlMetricsZero pins
+  // it). An empty plan arms nothing and perturbs no RNG.
+  FaultPlan plan = options_.ctrl_fault_plan;
+  plan.faults.insert(plan.faults.end(), options_.fault_plan.faults.begin(),
+                     options_.fault_plan.faults.end());
+  // One KvStore, so at most one of the two plans may degrade it.
+  MUDI_CHECK(!plan.degrade.any() || !options_.fault_plan.degrade.any());
+  if (!plan.degrade.any()) {
+    plan.degrade = options_.fault_plan.degrade;
+  }
+  if (plan.HasControlFaults()) {
+    ctrl_ = std::make_unique<ControlPlane>(plan.degrade, sim_, registry_, cluster_,
                                            rng_.Fork(0x6374726Cull),  // "ctrl"
                                            telemetry_,
                                            static_cast<ControlPlane::Listener&>(*this));
   }
-
-  // Arm the fault schedule (no-op for an empty plan: zero events, zero RNG
-  // perturbation, byte-identical results to a build without fault machinery).
-  if (!options_.fault_plan.empty()) {
-    Status armed = fault_injector_->Arm(options_.fault_plan);
-    MUDI_CHECK(armed.ok());
+  fault_injector_ = std::make_unique<FaultInjector>(
+      &sim_, this, ctrl_.get(), static_cast<int>(cluster_.num_devices()), options_.num_nodes,
+      &telemetry_);
+  MUDI_CHECK_OK(fault_injector_->Arm(plan));
+  if (ctrl_ != nullptr) {
+    ctrl_->StartHeartbeat();
   }
 
   // Training arrivals.
@@ -844,9 +853,14 @@ ExperimentResult ClusterExperiment::Run() {
           : replacement_time_sum_ms_ / static_cast<double>(trainings_replaced_);
   fm.goodput_rps = sim_.Now() > 0.0 ? served / (sim_.Now() / kMsPerSecond) : 0.0;
 
-  // Control-plane fault/recovery aggregates (all zero without a ctrl plan).
+  // Control-plane fault/recovery aggregates (all zero without a ctrl plane).
   if (ctrl_ != nullptr) {
-    ctrl_->Collect(result.ctrl);
+    ControlMetrics& cm = result.ctrl;
+    cm.events_injected = fault_injector_->ctrl_events_injected();
+    cm.kv_partitions = fault_injector_->partitions();
+    cm.watch_losses = fault_injector_->watch_losses();
+    cm.scheduler_crashes = fault_injector_->scheduler_crashes();
+    ctrl_->Collect(cm);
   }
 
   if (telemetry_.enabled()) {

@@ -28,7 +28,6 @@
 #include "src/exp/control_plane.h"
 #include "src/exp/metrics.h"
 #include "src/exp/serving_plane.h"
-#include "src/fault/control_fault_plan.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/gpu/perf_oracle.h"
@@ -72,19 +71,22 @@ struct ExperimentOptions {
   // Arrival-cohort tick: 0 = auto (SLO/15 clamped to [5, 100] ms).
   TimeMs arrival_tick_ms = 0.0;
 
-  // Deterministic fault schedule, armed when Run() starts. An empty plan
-  // schedules nothing and leaves the run byte-identical to one without any
-  // fault machinery.
+  // Deterministic fault schedules, armed as one timeline when Run() starts:
+  // ctrl_fault_plan's faults, then fault_plan's, each in plan order. Both are
+  // plain FaultPlans; the two fields conventionally hold the control-plane
+  // and the device schedule. An empty plan schedules nothing and leaves the
+  // run byte-identical to one without any fault machinery.
   FaultPlan fault_plan;
 
-  // Control-plane fault schedule (degraded KvStore watches/reads, partition
-  // windows, watch loss, scheduler crashes), armed when Run() starts. While
-  // the plan is non-empty the scheduler's inference configs travel through
-  // the registry (Put + watch) instead of being applied directly, and its
-  // reads route through CtrlGet/CtrlList + retry. An empty plan adds zero
-  // events and zero registry traffic: the run stays byte-identical to one
-  // without any control-fault machinery (ctrl_fault_test pins this).
-  ControlFaultPlan ctrl_fault_plan;
+  // While the armed faults include a control-plane kind (partition windows,
+  // watch loss, scheduler crashes) or a KvStore degradation, the scheduler's
+  // inference configs travel through the registry (Put + watch) instead of
+  // being applied directly, and its reads route through CtrlGet/CtrlList +
+  // retry. Without one there are zero extra events and zero registry
+  // traffic: the run stays byte-identical to one without any control-fault
+  // machinery (CtrlFaultRecoveryTest.EmptyCtrlPlanLeavesCtrlMetricsZero pins
+  // this).
+  FaultPlan ctrl_fault_plan;
 
   bool record_util_series = false;
   // Device id to trace for Fig. 16 (-1 = none).
@@ -119,7 +121,7 @@ struct ExperimentOptions {
 };
 
 // Composes the planes: ServingPlane runs every replica's serving loop,
-// ControlPlane (only with a control fault plan) carries configs through the
+// ControlPlane (only with control faults armed) carries configs through the
 // registry. The experiment itself keeps the training path — queue,
 // placement, progress, checkpoints — because every training event ends in a
 // policy hook, and it implements SchedulingEnv and the device-fault sink.
@@ -223,9 +225,9 @@ class ClusterExperiment : public SchedulingEnv,
   MemoryManager memory_manager_;
   TaskQueue queue_;
   KvStore registry_;
-  std::unique_ptr<FaultInjector> fault_injector_;
+  std::unique_ptr<FaultInjector> fault_injector_;  // built by Run()
   ServingPlane serving_;
-  std::unique_ptr<ControlPlane> ctrl_;  // null without a control fault plan
+  std::unique_ptr<ControlPlane> ctrl_;  // null without control faults
 
   // Per-hook `policy.*` region stats, resolved once in the constructor (null
   // when unprofiled or for hooks without a region).

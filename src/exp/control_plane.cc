@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/exp/cluster_experiment.h"
 
 namespace mudi {
 namespace {
@@ -26,7 +25,7 @@ std::string DeviceStatusKey(int device_id) {
   return "/devices/" + std::to_string(device_id) + "/status";
 }
 
-ControlPlane::ControlPlane(const ExperimentOptions& options, Simulator& sim, KvStore& registry,
+ControlPlane::ControlPlane(const KvDegradeOptions& degrade, Simulator& sim, KvStore& registry,
                            const ClusterState& cluster, Rng rng, Telemetry& telemetry,
                            Listener& listener)
     : sim_(sim),
@@ -35,16 +34,12 @@ ControlPlane::ControlPlane(const ExperimentOptions& options, Simulator& sim, KvS
       telemetry_(telemetry),
       listener_(listener),
       recovery_retrier_(&sim, RetryPolicy{}, rng.Fork(2)),
-      watch_retrier_(&sim, RetryPolicy{}, rng.Fork(3)),
-      injector_(&sim, this, &telemetry) {
-  const ControlFaultPlan& plan = options.ctrl_fault_plan;
-  MUDI_CHECK(!plan.empty());
-  MUDI_CHECK_OK(plan.Validate());
+      watch_retrier_(&sim, RetryPolicy{}, rng.Fork(3)) {
   // The registry becomes a real (degradable) control-plane dependency.
   // Delete events are forced on so recovery can observe deregistration
   // instead of polling for absence.
   registry_.EnableDeleteEvents(true);
-  registry_.EnableDegradedMode(&sim_, plan.degrade, rng.Fork(1));
+  registry_.EnableDegradedMode(&sim_, degrade, rng.Fork(1));
 
   config_watches_.assign(cluster_.num_devices(), 0);
   config_applied_rev_.assign(cluster_.num_devices(), 0);
@@ -52,8 +47,9 @@ ControlPlane::ControlPlane(const ExperimentOptions& options, Simulator& sim, KvS
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
     RegisterConfigWatch(static_cast<int>(d));
   }
-  MUDI_CHECK_OK(injector_.Arm(plan));
+}
 
+void ControlPlane::StartHeartbeat() {
   // Coordinator heartbeat: the epoch key tells the recovery scan how fresh
   // the registry's view of the scheduler is. ("/sched/epoch" does not prefix
   // any per-device config watch, so heartbeats draw nothing from the
@@ -275,10 +271,6 @@ void ControlPlane::FinishSchedulerRecovery() {
 }
 
 void ControlPlane::Collect(ControlMetrics& cm) {
-  cm.events_injected = injector_.events_injected();
-  cm.kv_partitions = injector_.partitions();
-  cm.watch_losses = injector_.watch_losses();
-  cm.scheduler_crashes = injector_.scheduler_crashes();
   cm.scheduler_recoveries = scheduler_recoveries_;
   cm.total_recovery_ms = recovery_ms_sum_;
   cm.retries = static_cast<size_t>(recovery_retrier_.total_retries() +

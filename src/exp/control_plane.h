@@ -3,9 +3,11 @@
 // domain — degraded watches and reads, partitions, watch loss and scheduler
 // crashes with a registry-scan recovery.
 //
-// ClusterExperiment builds one only when a control fault plan is armed.
-// Without it, configs apply directly and the scheduler never goes down, so a
-// fault-free run adds zero events and zero registry traffic. The plane holds
+// ClusterExperiment builds one only when its fault plan holds a control-kind
+// fault or a KvStore degradation, and its one FaultInjector drives the
+// control faults into this plane's ControlFaultSink overrides. Without it,
+// configs apply directly and the scheduler never goes down, so a fault-free
+// run adds zero events and zero registry traffic. The plane holds
 // no pointer to another plane: a delivered config and a finished recovery go
 // back to the experiment through Listener.
 #ifndef SRC_EXP_CONTROL_PLANE_H_
@@ -20,14 +22,12 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/exp/metrics.h"
-#include "src/fault/control_fault_injector.h"
+#include "src/fault/fault_injector.h"
 #include "src/sim/retry.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 
 namespace mudi {
-
-struct ExperimentOptions;
 
 // Registry row holding a device's health ("up", "down" or "failed"); the
 // recovery scan cross-checks it against the cluster.
@@ -44,11 +44,14 @@ class ControlPlane : public ControlFaultSink {
     virtual void OnSchedulerRecovered() = 0;
   };
 
-  // Turns on the degraded registry, registers per-device config watches,
-  // arms the control injector with options.ctrl_fault_plan, and starts the
-  // coordinator heartbeat. `rng` seeds the registry and the retry jitter.
-  ControlPlane(const ExperimentOptions& options, Simulator& sim, KvStore& registry,
+  // Turns on the registry degraded per `degrade` and registers per-device
+  // config watches. `rng` seeds the registry and the retry jitter.
+  ControlPlane(const KvDegradeOptions& degrade, Simulator& sim, KvStore& registry,
                const ClusterState& cluster, Rng rng, Telemetry& telemetry, Listener& listener);
+
+  // Starts the coordinator heartbeat. Called once the fault plan is armed,
+  // so a fault at the first beat's instant fires before the beat.
+  void StartHeartbeat();
 
   bool scheduler_up() const { return scheduler_up_; }
 
@@ -56,10 +59,11 @@ class ControlPlane : public ControlFaultSink {
   // applies it when (and if) the notification arrives.
   void Publish(int device_id, int batch, double gpu_fraction);
 
-  // Fills the control-plane aggregates and mirrors them into telemetry.
+  // Fills the control-plane aggregates this plane owns (the fault counts come
+  // from the FaultInjector) and mirrors them into telemetry.
   void Collect(ControlMetrics& metrics);
 
-  // --- ControlFaultSink (driven by the ControlFaultInjector) ---
+  // --- ControlFaultSink (driven by the FaultInjector) ---
   void OnKvPartitionStart(TimeMs now) override;
   void OnKvPartitionEnd(TimeMs now) override;
   void OnWatchesLost(TimeMs now) override;
@@ -84,7 +88,6 @@ class ControlPlane : public ControlFaultSink {
   // Retriers for the two retried control flows.
   Retrier recovery_retrier_;
   Retrier watch_retrier_;
-  ControlFaultInjector injector_;
 
   bool scheduler_up_ = true;
   TimeMs scheduler_crashed_at_ = 0.0;

@@ -85,9 +85,9 @@ struct FaultMetrics {
   bool any() const { return faults_injected > 0; }
 };
 
-// Control-plane fault/recovery aggregates (DESIGN.md §13) for runs with a
-// ControlFaultPlan armed. All-zero (and absent from reports) when the plan
-// is empty.
+// Control-plane fault/recovery aggregates (DESIGN.md §13) for runs with
+// control-kind faults or a KvStore degradation armed. All-zero (and absent
+// from reports) otherwise.
 struct ControlMetrics {
   size_t events_injected = 0;     // timed control faults armed
   size_t kv_partitions = 0;       // collapsed partition windows

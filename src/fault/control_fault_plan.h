@@ -1,74 +1,11 @@
-// Declarative control-plane fault schedules (DESIGN.md §13).
-//
-// A ControlFaultPlan mirrors FaultPlan's validated-schedule idiom for the
-// coordination layer instead of the devices: a store-wide KvStore
-// degradation (delayed/lossy watch delivery, stale reads) that is active for
-// the whole run, plus typed events pinned to virtual timestamps — KvStore
-// partition windows, watch-loss episodes, and scheduler crashes. Plans are
-// plain data; arming one draws all randomness from a forked, seeded Rng, so
-// same-seed chaos runs are bit-identical. An empty plan must leave every
-// experiment byte-identical to a run without control-fault machinery at all.
+// The standard control-plane chaos schedule (DESIGN.md §13). The control
+// fault kinds themselves are part of FaultPlan.
 #ifndef SRC_FAULT_CONTROL_FAULT_PLAN_H_
 #define SRC_FAULT_CONTROL_FAULT_PLAN_H_
 
-#include <string>
-#include <vector>
-
-#include "src/cluster/kv_store.h"
-#include "src/common/status.h"
-#include "src/sim/simulator.h"
+#include "src/fault/fault_plan.h"
 
 namespace mudi {
-
-enum class ControlFaultKind {
-  // The KvStore is unreachable for `duration_ms`: watch notifications inside
-  // the window are lost (not buffered) and control-plane reads fail
-  // Unavailable. Overlapping windows collapse into one partition edge pair.
-  kKvPartition,
-  // Every registered watch dies at `at_ms` (the etcd-connection-drop
-  // analogue), killing in-flight deliveries too; consumers must re-establish
-  // through src/sim/retry.h and catch up with a control-plane read.
-  kWatchLoss,
-  // The scheduler/coordinator process crashes at `at_ms` and restarts
-  // `duration_ms` later, then reconstructs its view from a KvStore scan
-  // (routed through retry, so a concurrent partition stretches recovery).
-  kSchedulerCrash,
-};
-
-const char* ControlFaultKindName(ControlFaultKind kind);
-
-struct ControlFaultSpec {
-  ControlFaultKind kind = ControlFaultKind::kKvPartition;
-  TimeMs at_ms = 0.0;
-  // kKvPartition: window length. kSchedulerCrash: restart delay (the time
-  // until the replacement process begins its recovery scan). kWatchLoss:
-  // unused.
-  TimeMs duration_ms = 0.0;
-};
-
-struct ControlFaultPlan {
-  // Store-wide degradation, active from Run() start to end. all-zero = the
-  // pristine synchronous store.
-  KvDegradeOptions degrade;
-  std::vector<ControlFaultSpec> events;
-
-  bool empty() const { return !degrade.any() && events.empty(); }
-  size_t size() const { return events.size(); }
-
-  ControlFaultPlan& Add(ControlFaultSpec spec) {
-    events.push_back(spec);
-    return *this;
-  }
-
-  // Convenience builders.
-  ControlFaultPlan& DegradeWatches(TimeMs delay_ms, TimeMs jitter_ms, double drop_prob);
-  ControlFaultPlan& StaleReads(double prob, uint64_t rev_lag);
-  ControlFaultPlan& Partition(TimeMs at_ms, TimeMs duration_ms);
-  ControlFaultPlan& LoseWatches(TimeMs at_ms);
-  ControlFaultPlan& CrashScheduler(TimeMs at_ms, TimeMs restart_delay_ms);
-
-  Status Validate() const;
-};
 
 // The standard deterministic control-chaos schedule used by the
 // `--ctrl-chaos` preset and bench_ctrl_fault: delayed/lossy watch delivery
@@ -76,9 +13,7 @@ struct ControlFaultPlan {
 // episode, and two scheduler crashes — the second one inside a partition so
 // the recovery scan has to back off through retry, and close enough to the
 // first that a slow recovery exercises the crash-during-recovery path.
-ControlFaultPlan StandardControlChaosPlan();
-
-std::string ControlFaultSpecDebugString(const ControlFaultSpec& spec);
+FaultPlan StandardControlChaosPlan();
 
 }  // namespace mudi
 

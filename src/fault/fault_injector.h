@@ -1,18 +1,25 @@
-// Arms a FaultPlan against the virtual clock and drives a FaultSink through
-// failure / recovery transitions.
+// Arms a FaultPlan against the virtual clock and drives a FaultSink (device
+// faults) and a ControlFaultSink (control-plane faults) through failure /
+// recovery transitions, from one timeline scheduled in plan order.
 //
-// The injector owns the fault *timeline* semantics so the sink (the
-// experiment harness) only sees clean edge transitions:
+// The injector owns the fault *timeline* semantics so the sinks (the
+// experiment harness and its control plane) only see clean edge
+// transitions:
 //   - overlapping failures of one device (e.g. a node blackout over an
 //     already-failed GPU) collapse into a single down/up edge pair;
 //   - a permanent failure pins the device down even when an overlapping
 //     transient fault "recovers";
 //   - concurrent straggler episodes multiply, and the sink is always handed
 //     the effective latency factor (1.0 when no episode is active);
-//   - feedback-loss windows nest the same way failures do.
-// Every transition is also recorded as a typed telemetry instant in the
-// "fault" category on the device's trace lane, which is what
-// tools/trace_summary uses to attribute downtime.
+//   - feedback-loss windows nest the same way failures do;
+//   - overlapping KvStore partition windows collapse into a single
+//     start/end edge pair.
+// The plan's store-wide degradation (FaultPlan::degrade) is NOT applied
+// here; the harness enables it on its KvStore directly (the injector only
+// drives timed events). Every transition is also recorded as a typed
+// telemetry instant: device transitions in the "fault" category on the
+// device's trace lane, which is what tools/trace_summary uses to attribute
+// downtime, control transitions in the "ctrl" category on lane -1.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -46,22 +53,42 @@ class FaultSink {
   virtual void OnFeedbackRestored(int device_id, TimeMs now) = 0;
 };
 
+// Implemented by the control plane; callbacks run like FaultSink's.
+class ControlFaultSink {
+ public:
+  virtual ~ControlFaultSink() = default;
+
+  // The KvStore just became unreachable / reachable again (first covering
+  // window began / last covering window ended).
+  virtual void OnKvPartitionStart(TimeMs now) = 0;
+  virtual void OnKvPartitionEnd(TimeMs now) = 0;
+  // Every registered watch died; the sink must unregister and re-establish.
+  virtual void OnWatchesLost(TimeMs now) = 0;
+  // The scheduler crashed; its replacement starts recovering
+  // `restart_delay_ms` from now.
+  virtual void OnSchedulerCrash(TimeMs restart_delay_ms, TimeMs now) = 0;
+};
+
 class FaultInjector {
  public:
-  FaultInjector(Simulator* sim, FaultSink* sink, int num_devices, int num_nodes,
-                Telemetry* telemetry = nullptr);
+  // Either sink may be null when the plans armed hold none of its kinds.
+  FaultInjector(Simulator* sim, FaultSink* sink, ControlFaultSink* ctrl_sink, int num_devices,
+                int num_nodes, Telemetry* telemetry = nullptr);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Validates `plan` against the cluster shape and schedules every fault
-  // (plus its paired recovery) on the simulator. An empty plan schedules
-  // nothing at all. Faults in the past (at_ms < sim->Now()) are rejected.
+  // (plus its paired recovery) on the simulator, in plan order: that order
+  // is the order the events take their sequence numbers in, which breaks
+  // same-instant ties. An empty plan schedules nothing at all. Faults in the
+  // past (at_ms < sim->Now()) and faults whose sink is null are rejected.
   Status Arm(const FaultPlan& plan);
 
   // Device state, readable at any time between events.
   bool device_down(int device_id) const { return state_[device_id].down_count > 0; }
   bool device_permanently_down(int device_id) const { return state_[device_id].permanent; }
   double straggler_factor(int device_id) const;
+  bool partitioned() const { return partition_depth_ > 0; }
 
   // Aggregates for ExperimentResult / bench tables.
   size_t faults_injected() const { return faults_injected_; }
@@ -70,6 +97,11 @@ class FaultInjector {
   // Total device-down time summed over devices; `end` closes intervals of
   // devices still down (e.g. permanent failures) at that timestamp.
   double TotalDowntimeMs(TimeMs end) const;
+  // Control-plane aggregates for ControlMetrics.
+  size_t ctrl_events_injected() const { return ctrl_events_injected_; }
+  size_t partitions() const { return partitions_; }
+  size_t watch_losses() const { return watch_losses_; }
+  size_t scheduler_crashes() const { return scheduler_crashes_; }
 
  private:
   struct DeviceState {
@@ -87,17 +119,29 @@ class FaultInjector {
   void StragglerEnd(int device_id, double severity);
   void FeedbackLost(int device_id);
   void FeedbackRestored(int device_id);
-  void EmitInstant(const char* name, int device_id, double arg_value, const char* arg_key);
+  void PartitionStart();
+  void PartitionEnd();
+  void WatchesLost();
+  void SchedulerCrash(TimeMs restart_delay_ms);
+  // `lane` is the device id, or -1 for a control transition.
+  void EmitInstant(const char* category, const char* name, int lane, double arg_value,
+                   const char* arg_key);
 
   Simulator* sim_;
   FaultSink* sink_;
+  ControlFaultSink* ctrl_sink_;
   int num_devices_;
   int num_nodes_;
   Telemetry* telemetry_;
   std::vector<DeviceState> state_;
+  int partition_depth_ = 0;
   size_t faults_injected_ = 0;
   size_t device_failures_ = 0;
   size_t devices_recovered_ = 0;
+  size_t ctrl_events_injected_ = 0;
+  size_t partitions_ = 0;
+  size_t watch_losses_ = 0;
+  size_t scheduler_crashes_ = 0;
 };
 
 }  // namespace mudi

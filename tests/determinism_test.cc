@@ -6,6 +6,8 @@
 // byte-identical" guarantee) assume bit-reproducibility.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -265,6 +267,27 @@ TEST_P(CombinedChaosDeterminismTest, DeviceAndControlChaosReplaysBitIdentically)
   ExpectIdenticalResults(a, b);
   EXPECT_GT(a.faults.faults_injected, 0u);
   EXPECT_GT(a.ctrl.events_injected, 0u);
+
+  // Self-identity passes even if the arming order of the two fault domains
+  // changed, so the Mudi run is also pinned to the outcome of earlier
+  // versions: FNV-1a 64 over the bits of the fields below, byte by byte
+  // little-endian. A deliberate outcome change re-pins it.
+  if (GetParam() == "Mudi") {
+    uint64_t digest = 0xcbf29ce484222325ull;
+    auto mix = [&digest](uint64_t bits) {
+      for (int b = 0; b < 8; ++b) {
+        digest = (digest ^ ((bits >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+      }
+    };
+    mix(std::bit_cast<uint64_t>(a.makespan_ms));
+    for (const TaskRecord& task : a.tasks) {
+      mix(std::bit_cast<uint64_t>(task.completion_ms));
+    }
+    mix(std::bit_cast<uint64_t>(a.faults.total_downtime_ms));
+    mix(static_cast<uint64_t>(a.ctrl.configs_applied));
+    mix(std::bit_cast<uint64_t>(a.ctrl.total_recovery_ms));
+    EXPECT_EQ(digest, 0x34aee3e4c8681b20ull) << "combined-chaos digest 0x" << std::hex << digest;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, CombinedChaosDeterminismTest,

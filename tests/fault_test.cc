@@ -2,12 +2,13 @@
 // and end-to-end failure recovery through ClusterExperiment.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
-#include "src/fault/control_fault_injector.h"
 #include "src/fault/control_fault_plan.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
@@ -15,6 +16,8 @@
 
 namespace mudi {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // ---------------------------------------------------------------------------
 // FaultPlan
@@ -40,35 +43,22 @@ TEST(FaultPlanTest, BuildersProduceExpectedSpecs) {
 }
 
 TEST(FaultPlanTest, ValidateRejectsBadSpecs) {
-  {
-    FaultPlan plan;
-    plan.FailDevice(9, 10.0, 5.0);  // device out of range
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
-  }
-  {
-    FaultPlan plan;
-    plan.FailNode(5, 10.0, 5.0);  // node out of range
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
-  }
-  {
-    FaultPlan plan;
-    plan.FailDevice(0, -1.0, 5.0);  // negative timestamp
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
-  }
-  {
-    FaultPlan plan;
-    plan.AddStraggler(0, 10.0, 5.0, 0.5);  // severity < 1
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
-  }
-  {
-    FaultPlan plan;
-    plan.AddStraggler(0, 10.0, 0.0, 2.0);  // episode needs a duration
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
-  }
-  {
-    FaultPlan plan;
-    plan.LoseFeedback(0, 10.0, -5.0);  // episode needs a duration
-    EXPECT_FALSE(plan.Validate(4, 2).ok());
+  // NaN passes every plain `x < bound` check, so the NaN inputs each need
+  // their own finiteness check.
+  const std::vector<std::pair<const char*, FaultPlan>> bad = {
+      {"device out of range", FaultPlan().FailDevice(9, 10.0, 5.0)},
+      {"node out of range", FaultPlan().FailNode(5, 10.0, 5.0)},
+      {"negative timestamp", FaultPlan().FailDevice(0, -1.0, 5.0)},
+      {"severity < 1", FaultPlan().AddStraggler(0, 10.0, 5.0, 0.5)},
+      {"episode needs a duration", FaultPlan().AddStraggler(0, 10.0, 0.0, 2.0)},
+      {"window needs a duration", FaultPlan().LoseFeedback(0, 10.0, -5.0)},
+      {"NaN severity", FaultPlan().AddStraggler(0, 10.0, 5.0, kNaN)},
+      {"NaN timestamp", FaultPlan().FailDevice(0, kNaN, 5.0)},
+      {"NaN duration", FaultPlan().FailDevice(0, 10.0, kNaN)},
+      {"endless outage", FaultPlan().FailNode(0, 10.0, std::numeric_limits<double>::infinity())},
+  };
+  for (const auto& [why, plan] : bad) {
+    EXPECT_FALSE(plan.Validate(4, 2).ok()) << why;
   }
 }
 
@@ -94,28 +84,35 @@ struct SinkEvent {
 class RecordingSink : public FaultSink {
  public:
   void OnDeviceDown(int device_id, bool permanent, TimeMs now) override {
-    events.push_back({"down", device_id, permanent ? 1.0 : 0.0, now});
+    Record({"down", device_id, permanent ? 1.0 : 0.0, now});
   }
-  void OnDeviceUp(int device_id, TimeMs now) override {
-    events.push_back({"up", device_id, 0.0, now});
-  }
+  void OnDeviceUp(int device_id, TimeMs now) override { Record({"up", device_id, 0.0, now}); }
   void OnStragglerFactor(int device_id, double factor, TimeMs now) override {
-    events.push_back({"straggler", device_id, factor, now});
+    Record({"straggler", device_id, factor, now});
   }
   void OnFeedbackLost(int device_id, TimeMs now) override {
-    events.push_back({"feedback_lost", device_id, 0.0, now});
+    Record({"feedback_lost", device_id, 0.0, now});
   }
   void OnFeedbackRestored(int device_id, TimeMs now) override {
-    events.push_back({"feedback_restored", device_id, 0.0, now});
+    Record({"feedback_restored", device_id, 0.0, now});
   }
 
   std::vector<SinkEvent> events;
+  std::vector<std::string>* timeline = nullptr;  // when set, shared with a control sink
+
+ private:
+  void Record(const SinkEvent& e) {
+    events.push_back(e);
+    if (timeline != nullptr) {
+      timeline->push_back(e.what);
+    }
+  }
 };
 
 TEST(FaultInjectorTest, EmptyPlanSchedulesNothing) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 4, 2);
+  FaultInjector injector(&sim, &sink, nullptr, 4, 2);
   EXPECT_TRUE(injector.Arm(FaultPlan{}).ok());
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(injector.faults_injected(), 0u);
@@ -124,10 +121,17 @@ TEST(FaultInjectorTest, EmptyPlanSchedulesNothing) {
 TEST(FaultInjectorTest, ArmRejectsInvalidAndPastFaults) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 4, 2);
+  FaultInjector injector(&sim, &sink, nullptr, 4, 2);
   FaultPlan bad;
   bad.FailDevice(99, 10.0, 5.0);
   EXPECT_FALSE(injector.Arm(bad).ok());
+  FaultPlan nan_time;
+  nan_time.FailDevice(0, kNaN, 5.0);  // an error, not a simulator CHECK
+  EXPECT_FALSE(injector.Arm(nan_time).ok());
+  FaultPlan no_sink;
+  no_sink.CrashScheduler(10.0, 1.0);  // no ControlFaultSink attached
+  EXPECT_FALSE(injector.Arm(no_sink).ok());
+  EXPECT_EQ(sim.pending_events(), 0u);
 
   sim.RunUntil(100.0);
   FaultPlan past;
@@ -138,7 +142,7 @@ TEST(FaultInjectorTest, ArmRejectsInvalidAndPastFaults) {
 TEST(FaultInjectorTest, OverlappingFailuresCollapseToOneEdgePair) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 2, 1);  // one node of two devices
+  FaultInjector injector(&sim, &sink, nullptr, 2, 1);  // one node of two devices
   FaultPlan plan;
   plan.FailDevice(0, 10.0, 50.0);   // device 0 down 10..60
   plan.FailNode(0, 30.0, 100.0);    // both devices down 30..130
@@ -174,7 +178,7 @@ TEST(FaultInjectorTest, OverlappingFailuresCollapseToOneEdgePair) {
 TEST(FaultInjectorTest, PermanentFailurePinsDeviceDown) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 2, 1);
+  FaultInjector injector(&sim, &sink, nullptr, 2, 1);
   FaultPlan plan;
   plan.FailDevice(0, 10.0, 20.0);        // transient 10..30
   plan.FailDevicePermanently(0, 15.0);   // permanent from 15
@@ -193,7 +197,7 @@ TEST(FaultInjectorTest, PermanentFailurePinsDeviceDown) {
 TEST(FaultInjectorTest, ConcurrentStragglersMultiply) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 1, 1);
+  FaultInjector injector(&sim, &sink, nullptr, 1, 1);
   FaultPlan plan;
   plan.AddStraggler(0, 10.0, 40.0, 2.0);  // 10..50
   plan.AddStraggler(0, 20.0, 10.0, 3.0);  // 20..30
@@ -219,7 +223,7 @@ TEST(FaultInjectorTest, ConcurrentStragglersMultiply) {
 TEST(FaultInjectorTest, FeedbackLossWindowsNest) {
   Simulator sim;
   RecordingSink sink;
-  FaultInjector injector(&sim, &sink, 1, 1);
+  FaultInjector injector(&sim, &sink, nullptr, 1, 1);
   FaultPlan plan;
   plan.LoseFeedback(0, 10.0, 40.0);  // 10..50
   plan.LoseFeedback(0, 20.0, 10.0);  // 20..30, nested
@@ -391,11 +395,12 @@ TEST(FaultRecoveryTest, EmptyPlanLeavesFaultMetricsZero) {
 }
 
 // ---------------------------------------------------------------------------
-// ControlFaultPlan
+// FaultPlan: control-plane kinds and the KvStore degradation (the
+// ControlFault* suites group the control half of FaultPlan / FaultInjector)
 // ---------------------------------------------------------------------------
 
 TEST(ControlFaultPlanTest, BuildersProduceExpectedSpecs) {
-  ControlFaultPlan plan;
+  FaultPlan plan;
   plan.DegradeWatches(100.0, 50.0, 0.1)
       .StaleReads(0.2, 4)
       .Partition(10.0 * kMsPerSecond, 5.0 * kMsPerSecond)
@@ -406,51 +411,43 @@ TEST(ControlFaultPlanTest, BuildersProduceExpectedSpecs) {
   EXPECT_DOUBLE_EQ(plan.degrade.watch_delay_ms, 100.0);
   EXPECT_DOUBLE_EQ(plan.degrade.stale_read_prob, 0.2);
   EXPECT_EQ(plan.degrade.stale_rev_lag, 4u);
-  EXPECT_EQ(plan.events[0].kind, ControlFaultKind::kKvPartition);
-  EXPECT_EQ(plan.events[1].kind, ControlFaultKind::kWatchLoss);
-  EXPECT_EQ(plan.events[2].kind, ControlFaultKind::kSchedulerCrash);
-  EXPECT_DOUBLE_EQ(plan.events[2].duration_ms, 2.0 * kMsPerSecond);
-  EXPECT_TRUE(plan.Validate().ok());
+  EXPECT_EQ(plan.faults[0].kind, FaultKind::kKvPartition);
+  EXPECT_EQ(plan.faults[1].kind, FaultKind::kWatchLoss);
+  EXPECT_EQ(plan.faults[2].kind, FaultKind::kSchedulerCrash);
+  EXPECT_DOUBLE_EQ(plan.faults[2].duration_ms, 2.0 * kMsPerSecond);
+  EXPECT_TRUE(plan.HasControlFaults());
+  EXPECT_TRUE(plan.Validate(1, 1).ok());  // control kinds target no device
+  EXPECT_FALSE(StandardChaosPlan(4, 2).HasControlFaults());
 }
 
 TEST(ControlFaultPlanTest, ValidateRejectsBadSpecs) {
-  {
-    ControlFaultPlan plan;
-    plan.DegradeWatches(-1.0, 0.0, 0.0);  // negative delay
-    EXPECT_FALSE(plan.Validate().ok());
-  }
-  {
-    ControlFaultPlan plan;
-    plan.DegradeWatches(0.0, 0.0, 1.0);  // dropping everything deadlocks
-    EXPECT_FALSE(plan.Validate().ok());
-  }
-  {
-    ControlFaultPlan plan;
-    plan.StaleReads(0.5, 0);  // stale reads need a lag bound
-    EXPECT_FALSE(plan.Validate().ok());
-  }
-  {
-    ControlFaultPlan plan;
-    plan.Partition(10.0, 0.0);  // a window needs a duration
-    EXPECT_FALSE(plan.Validate().ok());
-  }
-  {
-    ControlFaultPlan plan;
-    plan.CrashScheduler(10.0, -1.0);  // negative restart delay
-    EXPECT_FALSE(plan.Validate().ok());
+  const std::vector<std::pair<const char*, FaultPlan>> bad = {
+      {"negative delay", FaultPlan().DegradeWatches(-1.0, 0.0, 0.0)},
+      {"dropping everything deadlocks", FaultPlan().DegradeWatches(0.0, 0.0, 1.0)},
+      {"stale reads need a lag bound", FaultPlan().StaleReads(0.5, 0)},
+      {"a window needs a duration", FaultPlan().Partition(10.0, 0.0)},
+      {"negative restart delay", FaultPlan().CrashScheduler(10.0, -1.0)},
+      {"NaN partition time", FaultPlan().Partition(kNaN, 5.0)},
+      {"NaN watch delay", FaultPlan().DegradeWatches(kNaN, 0.0, 0.0)},
+      {"NaN jitter", FaultPlan().DegradeWatches(0.0, kNaN, 0.0)},
+      {"NaN drop probability", FaultPlan().DegradeWatches(0.0, 0.0, kNaN)},
+      {"NaN stale-read probability", FaultPlan().StaleReads(kNaN, 4)},
+  };
+  for (const auto& [why, plan] : bad) {
+    EXPECT_FALSE(plan.Validate(1, 1).ok()) << why;
   }
 }
 
 TEST(ControlFaultPlanTest, StandardControlChaosPlanValidates) {
-  ControlFaultPlan plan = StandardControlChaosPlan();
-  EXPECT_TRUE(plan.Validate().ok());
+  FaultPlan plan = StandardControlChaosPlan();
+  EXPECT_TRUE(plan.Validate(1, 1).ok());
   EXPECT_FALSE(plan.empty());
   EXPECT_TRUE(plan.degrade.any());
   EXPECT_GE(plan.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
-// ControlFaultInjector
+// FaultInjector: control-plane kinds
 // ---------------------------------------------------------------------------
 
 class RecordingCtrlSink : public ControlFaultSink {
@@ -461,35 +458,51 @@ class RecordingCtrlSink : public ControlFaultSink {
     double arg;
   };
 
-  void OnKvPartitionStart(TimeMs now) override { events.push_back({"partition_start", now, 0.0}); }
-  void OnKvPartitionEnd(TimeMs now) override { events.push_back({"partition_end", now, 0.0}); }
-  void OnWatchesLost(TimeMs now) override { events.push_back({"watch_loss", now, 0.0}); }
+  void OnKvPartitionStart(TimeMs now) override { Record({"partition_start", now, 0.0}); }
+  void OnKvPartitionEnd(TimeMs now) override { Record({"partition_end", now, 0.0}); }
+  void OnWatchesLost(TimeMs now) override { Record({"watch_loss", now, 0.0}); }
   void OnSchedulerCrash(TimeMs restart_delay_ms, TimeMs now) override {
-    events.push_back({"crash", now, restart_delay_ms});
+    Record({"crash", now, restart_delay_ms});
   }
 
   std::vector<Event> events;
+  std::vector<std::string>* timeline = nullptr;  // when set, shared with a device sink
+
+ private:
+  void Record(const Event& e) {
+    events.push_back(e);
+    if (timeline != nullptr) {
+      timeline->push_back(e.what);
+    }
+  }
 };
 
 TEST(ControlFaultInjectorTest, EmptyPlanSchedulesNothing) {
   Simulator sim;
   RecordingCtrlSink sink;
-  ControlFaultInjector injector(&sim, &sink);
-  EXPECT_TRUE(injector.Arm(ControlFaultPlan{}).ok());
+  FaultInjector injector(&sim, nullptr, &sink, 1, 1);
+  EXPECT_TRUE(injector.Arm(FaultPlan{}).ok());
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(injector.events_injected(), 0u);
+  EXPECT_EQ(injector.ctrl_events_injected(), 0u);
 }
 
 TEST(ControlFaultInjectorTest, ArmRejectsInvalidAndPastEvents) {
   Simulator sim;
   RecordingCtrlSink sink;
-  ControlFaultInjector injector(&sim, &sink);
-  ControlFaultPlan bad;
+  FaultInjector injector(&sim, nullptr, &sink, 1, 1);
+  FaultPlan bad;
   bad.Partition(10.0, 0.0);
   EXPECT_FALSE(injector.Arm(bad).ok());
+  FaultPlan nan_time;
+  nan_time.LoseWatches(kNaN);  // an error, not a simulator CHECK
+  EXPECT_FALSE(injector.Arm(nan_time).ok());
+  FaultPlan no_sink;
+  no_sink.FailDevice(0, 10.0, 5.0);  // no device FaultSink attached
+  EXPECT_FALSE(injector.Arm(no_sink).ok());
+  EXPECT_EQ(sim.pending_events(), 0u);
 
   sim.RunUntil(100.0);
-  ControlFaultPlan past;
+  FaultPlan past;
   past.LoseWatches(50.0);
   EXPECT_FALSE(injector.Arm(past).ok());
 }
@@ -497,8 +510,8 @@ TEST(ControlFaultInjectorTest, ArmRejectsInvalidAndPastEvents) {
 TEST(ControlFaultInjectorTest, OverlappingPartitionsCollapseToOneEdgePair) {
   Simulator sim;
   RecordingCtrlSink sink;
-  ControlFaultInjector injector(&sim, &sink);
-  ControlFaultPlan plan;
+  FaultInjector injector(&sim, nullptr, &sink, 1, 1);
+  FaultPlan plan;
   plan.Partition(100.0, 100.0);  // 100..200
   plan.Partition(150.0, 100.0);  // 150..250, overlapping
   ASSERT_TRUE(injector.Arm(plan).ok());
@@ -509,7 +522,8 @@ TEST(ControlFaultInjectorTest, OverlappingPartitionsCollapseToOneEdgePair) {
   EXPECT_DOUBLE_EQ(sink.events[0].at, 100.0);
   EXPECT_EQ(sink.events[1].what, "partition_end");
   EXPECT_DOUBLE_EQ(sink.events[1].at, 250.0);
-  EXPECT_EQ(injector.events_injected(), 2u);
+  EXPECT_EQ(injector.ctrl_events_injected(), 2u);
+  EXPECT_EQ(injector.faults_injected(), 0u);
   EXPECT_EQ(injector.partitions(), 1u);
   EXPECT_FALSE(injector.partitioned());
 }
@@ -517,14 +531,47 @@ TEST(ControlFaultInjectorTest, OverlappingPartitionsCollapseToOneEdgePair) {
 TEST(ControlFaultInjectorTest, BackToBackPartitionsKeepSeparateEdges) {
   Simulator sim;
   RecordingCtrlSink sink;
-  ControlFaultInjector injector(&sim, &sink);
-  ControlFaultPlan plan;
+  FaultInjector injector(&sim, nullptr, &sink, 1, 1);
+  FaultPlan plan;
   plan.Partition(100.0, 50.0);  // 100..150
   plan.Partition(200.0, 50.0);  // 200..250, disjoint
   ASSERT_TRUE(injector.Arm(plan).ok());
   sim.RunUntilIdle();
   ASSERT_EQ(sink.events.size(), 4u);
   EXPECT_EQ(injector.partitions(), 2u);
+}
+
+// Faults at one instant fire in plan order, across both sinks. The standard
+// schedules tie at 210 s: StandardChaosPlan's feedback restore and
+// StandardControlChaosPlan's first scheduler crash. ClusterExperiment arms
+// the control schedule first, so the crash fires first
+// (TelemetryExperimentTest.ControlFaultsFireBeforeSameInstantDeviceFaults).
+TEST(FaultInjectorTest, SameInstantFaultsFireInPlanOrder) {
+  FaultPlan control;
+  control.CrashScheduler(210.0, 2.0);
+  FaultPlan device;
+  device.LoseFeedback(0, 180.0, 30.0);  // restored at 210
+  for (bool control_first : {true, false}) {
+    SCOPED_TRACE(control_first ? "control first" : "device first");
+    FaultPlan plan = control_first ? control : device;
+    for (const FaultSpec& spec : (control_first ? device : control).faults) {
+      plan.Add(spec);
+    }
+    Simulator sim;
+    std::vector<std::string> timeline;
+    RecordingSink sink;
+    RecordingCtrlSink ctrl_sink;
+    sink.timeline = &timeline;
+    ctrl_sink.timeline = &timeline;
+    FaultInjector injector(&sim, &sink, &ctrl_sink, 1, 1);
+    ASSERT_TRUE(injector.Arm(plan).ok());
+    sim.RunUntilIdle();
+    EXPECT_EQ(timeline, control_first
+                            ? (std::vector<std::string>{"feedback_lost", "crash",
+                                                        "feedback_restored"})
+                            : (std::vector<std::string>{"feedback_lost", "feedback_restored",
+                                                        "crash"}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -538,6 +585,14 @@ TEST(CtrlFaultRecoveryTest, EmptyCtrlPlanLeavesCtrlMetricsZero) {
   EXPECT_EQ(result.ctrl.configs_published, 0u);
   EXPECT_EQ(result.ctrl.retries, 0u);
   EXPECT_EQ(result.ctrl.scheduler_crashes, 0u);
+
+  // A device-only plan shares the injector but still builds no control
+  // plane: configs keep applying directly.
+  options.fault_plan = StandardChaosPlan(4, 2);
+  ExperimentResult device_only = RunMudi(options);
+  EXPECT_GT(device_only.faults.faults_injected, 0u);
+  EXPECT_FALSE(device_only.ctrl.any());
+  EXPECT_EQ(device_only.ctrl.configs_published, 0u);
 }
 
 TEST(CtrlFaultRecoveryTest, SchedulerCrashRecoversAndTasksComplete) {

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "src/common/env.h"
+#include "src/common/float_eq.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
+#include "src/fault/control_fault_plan.h"
 #include "src/telemetry/metrics_registry.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace_reader.h"
@@ -450,6 +452,28 @@ TEST(TelemetryExperimentTest, TraceDowntimeMatchesFaultMetrics) {
   EXPECT_GE(summary.events_by_category.at("fault"), 2u);
   EXPECT_NEAR(summary.lanes.at(1).downtime_ms, 30.0 * kMsPerSecond, 1e-6);
   EXPECT_NEAR(summary.total_downtime_ms, result.faults.total_downtime_ms, 1e-6);
+}
+
+// Run() arms ctrl_fault_plan before fault_plan, so where the standard
+// schedules tie at 210 s the scheduler crash fires before the feedback
+// restore, in the trace as in the simulation.
+TEST(TelemetryExperimentTest, ControlFaultsFireBeforeSameInstantDeviceFaults) {
+  if (!Telemetry::CompiledWithTracing()) {
+    GTEST_SKIP() << "tracing compiled out";
+  }
+  ExperimentOptions options = TinyOptions(6, 41);
+  options.horizon_ms = 215.0 * kMsPerSecond;
+  options.fault_plan = StandardChaosPlan(4, 2);
+  options.ctrl_fault_plan = StandardControlChaosPlan();
+  std::vector<TraceEvent> events;
+  RunTraced("Mudi", options, &events);
+  std::vector<std::string> at_tie;
+  for (const TraceEvent& e : events) {
+    if (ExactEq(e.ts_ms, 210.0 * kMsPerSecond) && (e.cat == "fault" || e.cat == "ctrl")) {
+      at_tie.push_back(e.name);
+    }
+  }
+  EXPECT_EQ(at_tie, (std::vector<std::string>{"scheduler_crash", "feedback_restored"}));
 }
 
 TEST(TelemetryExperimentTest, MetricsCountersMatchResult) {

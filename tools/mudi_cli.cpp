@@ -22,6 +22,7 @@
 #include "src/common/wallclock.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
+#include "src/fault/control_fault_plan.h"
 #include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
 #include "src/perf/perf_report.h"
